@@ -1,7 +1,7 @@
 //! Reproducible extraction-path performance suite (`bench_suite` binary).
 //!
-//! Measures the three propagation-extraction paths — buffered, lockstep
-//! and streamed — against each other on exhaustive and adaptive
+//! Measures the two propagation-extraction paths — buffered and
+//! streamed — against each other on exhaustive and adaptive
 //! campaigns at pinned seeds and sizes, and emits a machine-readable
 //! report (`BENCH_ppopp21.json`) so every PR has a throughput
 //! trajectory to answer to. The full tier runs Jacobi, GEMM and CG (the
@@ -29,10 +29,7 @@
 //! (sites × bits ≈ 300M runs) infeasible on one machine, so every path
 //! runs the same site-strided subsample of the exhaustive table
 //! (`site_stride`, full bit coverage at each kept site); throughput is
-//! experiments-per-second over the experiments actually run. Lockstep
-//! spawns two threads and a channel hand-off per experiment and is far
-//! slower, so it runs a sparser subsample (`lockstep_stride`, a multiple
-//! of `site_stride` so its agreement check overlaps the reference).
+//! experiments-per-second over the experiments actually run.
 
 use ftb_core::prelude::*;
 use ftb_inject::{ExhaustiveResult, ExtractionMode, DEFAULT_MAX_SNAPSHOTS};
@@ -552,9 +549,6 @@ pub struct PerfWorkload {
     /// Site stride of the exhaustive campaign, applied to every path
     /// (1 = full table; paper-scale workloads subsample).
     pub site_stride: usize,
-    /// Site stride for the lockstep path. Must be a multiple of
-    /// `site_stride` so the agreement check overlaps the reference.
-    pub lockstep_stride: usize,
     /// Pinned adaptive-campaign configuration (seed and round budget
     /// fixed per tier; paper-scale workloads bound the round count so
     /// the adaptive leg stays a fixed, small number of experiments).
@@ -651,7 +645,6 @@ fn quick_stanza(name: &'static str, config: KernelConfig, tolerance: f64) -> Per
         config: config.clone(),
         tolerance,
         site_stride: 1,
-        lockstep_stride: 4,
         adaptive: AdaptiveConfig {
             seed: 7,
             ..AdaptiveConfig::default()
@@ -698,7 +691,6 @@ pub fn perf_suite(quick: bool) -> Vec<PerfWorkload> {
                 }),
                 tolerance: 1e-6,
                 site_stride: 1,
-                lockstep_stride: 4,
                 adaptive: adaptive_default.clone(),
                 staticbound: Some((
                     KernelConfig::Jacobi(JacobiConfig {
@@ -748,7 +740,6 @@ pub fn perf_suite(quick: bool) -> Vec<PerfWorkload> {
                 }),
                 tolerance: 1e-6,
                 site_stride: 1,
-                lockstep_stride: 4,
                 adaptive: adaptive_default.clone(),
                 staticbound: Some((
                     KernelConfig::Gemm(GemmConfig {
@@ -791,7 +782,6 @@ pub fn perf_suite(quick: bool) -> Vec<PerfWorkload> {
                 }),
                 tolerance: 1e-1,
                 site_stride: 1,
-                lockstep_stride: 4,
                 adaptive: adaptive_default,
                 staticbound: Some((
                     KernelConfig::Cg(CgConfig {
@@ -899,10 +889,6 @@ pub fn perf_suite(quick: bool) -> Vec<PerfWorkload> {
                 tolerance: 1e-3,
                 // 17 sites × 32 bits = 544 experiments per path
                 site_stride: 614_000,
-                // 2 sites × 32 bits = 64 experiments (two threads + a
-                // channel hand-off per experiment make lockstep several
-                // times slower per run)
-                lockstep_stride: 8 * 614_000,
                 // bound the adaptive leg to a handful of ~30-experiment
                 // rounds — a 0.1% round of a 9.9M-site table would be
                 // ~10k experiments, hours at ~150 ms each
@@ -985,7 +971,6 @@ pub fn perf_suite(quick: bool) -> Vec<PerfWorkload> {
                 tolerance: 1e-6,
                 // 18 sites × 64 bits = 1152 experiments per path
                 site_stride: 6_144,
-                lockstep_stride: 8 * 6_144,
                 adaptive: AdaptiveConfig {
                     seed: 7,
                     round_fraction: 3e-4,
@@ -1046,7 +1031,6 @@ pub fn perf_suite(quick: bool) -> Vec<PerfWorkload> {
                 tolerance: 3e-5,
                 // 19 sites × 64 bits = 1216 experiments per path
                 site_stride: 67_000,
-                lockstep_stride: 8 * 67_000,
                 // bound the adaptive leg the same way jacobi's is: a
                 // few ~40-experiment rounds instead of 0.1% of 1.2M
                 adaptive: AdaptiveConfig {
@@ -1104,7 +1088,6 @@ pub fn perf_suite(quick: bool) -> Vec<PerfWorkload> {
                 }),
                 tolerance: 1e-1,
                 site_stride: 1,
-                lockstep_stride: 16,
                 adaptive: adaptive_default,
                 staticbound: Some((
                     KernelConfig::Cg(CgConfig {
@@ -1355,7 +1338,7 @@ fn run_batch_leg(
 pub struct PathStats {
     /// Extraction path name.
     pub path: String,
-    /// Site stride used (lockstep subsamples at full scale).
+    /// Site stride used (paper-scale workloads subsample).
     pub site_stride: usize,
     /// Experiments executed by the exhaustive campaign.
     pub exhaustive_experiments: u64,
@@ -1373,7 +1356,7 @@ pub struct PathStats {
     pub peak_rss_kb_after: Option<u64>,
 }
 
-/// Report for one workload across all three paths.
+/// Report for one workload across both extraction paths.
 #[derive(Debug, Clone, Serialize)]
 pub struct WorkloadReport {
     /// Workload name.
@@ -1392,7 +1375,7 @@ pub struct WorkloadReport {
     pub golden_bytes_full: usize,
     /// Bytes held by the shared compact golden the streamed path reads.
     pub golden_bytes_compact: usize,
-    /// Per-path measurements (buffered, lockstep, streamed).
+    /// Per-path measurements (buffered, streamed).
     pub paths: Vec<PathStats>,
     /// Streamed over buffered exhaustive throughput.
     pub speedup_streamed_vs_buffered: f64,
@@ -1425,10 +1408,7 @@ fn run_path(
     w: &PerfWorkload,
     mode: ExtractionMode,
 ) -> (PathStats, ExhaustiveResult) {
-    let stride = match mode {
-        ExtractionMode::Lockstep { .. } => w.lockstep_stride,
-        _ => w.site_stride,
-    };
+    let stride = w.site_stride;
     let analysis = Analysis::new(kernel, Classifier::new(w.tolerance)).with_extraction(mode);
     let bits = kernel.precision().bits();
 
@@ -1507,13 +1487,10 @@ fn strided_outcome_table(injector: &Injector<'_>, stride: usize) -> ExhaustiveRe
     }
 }
 
-/// Run one workload through all three extraction paths and check that
-/// they agree wherever they overlap.
+/// Run one workload through both extraction paths and check that
+/// they produce the same outcome table.
 pub fn run_workload(w: &PerfWorkload) -> WorkloadReport {
-    assert!(
-        w.site_stride >= 1 && w.lockstep_stride % w.site_stride == 0,
-        "lockstep_stride must be a multiple of site_stride for the agreement check"
-    );
+    assert!(w.site_stride >= 1, "site_stride must be positive");
     let kernel = w.config.build();
     let golden = kernel.golden();
     let compact = CompactGolden::from_golden(&golden);
@@ -1525,16 +1502,8 @@ pub fn run_workload(w: &PerfWorkload) -> WorkloadReport {
     // streamed first so the buffered path's full-trace allocations are
     // visible as an RSS increase, not hidden under an earlier peak
     let (streamed, streamed_table) = run_path(kernel.as_ref(), w, ExtractionMode::Streamed);
-    let (lockstep, lockstep_table) = run_path(
-        kernel.as_ref(),
-        w,
-        ExtractionMode::Lockstep { capacity: 64 },
-    );
     let (buffered, buffered_table) = run_path(kernel.as_ref(), w, ExtractionMode::Buffered);
 
-    let full_agree = buffered_table == streamed_table;
-    let strided_agree = OutcomeCounts::of(&buffered_table, w.lockstep_stride)
-        == OutcomeCounts::of(&lockstep_table, w.lockstep_stride);
     let speedup = streamed.experiments_per_sec / buffered.experiments_per_sec.max(1e-9);
     let snapshot = run_snapshot_leg(kernel.as_ref(), w, &streamed, &streamed_table);
     let batch = run_batch_leg(
@@ -1553,12 +1522,12 @@ pub fn run_workload(w: &PerfWorkload) -> WorkloadReport {
         bits: kernel.precision().bits(),
         golden_bytes_full,
         golden_bytes_compact,
-        paths: vec![buffered, lockstep, streamed],
+        paths: vec![buffered, streamed],
         speedup_streamed_vs_buffered: speedup,
         min_streamed_speedup: w.min_streamed_speedup,
         snapshot,
         batch,
-        paths_agree: full_agree && strided_agree,
+        paths_agree: buffered_table == streamed_table,
         staticbound: w
             .staticbound
             .as_ref()

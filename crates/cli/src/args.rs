@@ -8,7 +8,7 @@ use ftb_kernels::{
     SpmvConfig, StencilConfig, SweepTweak,
 };
 use ftb_trace::Precision;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// Usage text printed on parse errors and `ftb help`.
@@ -56,7 +56,14 @@ KERNEL OPTIONS (defaults in parentheses):
     --n N                  lu/matvec/gemm matrix dimension (16 / 24 / 12)
     --block N              lu block size (4)
     --n1 N --n2 N          fft factorisation (16 x 16)
-    --sweeps N             stencil sweeps (8)
+    --sweeps N             stencil/jacobi sweeps (8 / 30)
+    --rtol F               cg relative residual target (1e-4)
+    --max-iters N          cg iteration cap, the hang bound (4 x grid^2)
+    --fine N               jacobi: 1 traces every off-diagonal accumulation
+                           as its own dynamic instruction, 0 traces row
+                           stores (0)
+    --resid-every N        jacobi: check the residual every N sweeps,
+                           >= 1 (1)
     --f32                  32-bit data elements (default for cg)
     --f64                  64-bit data elements
     --seed N               input/sampling seed (42)
@@ -67,10 +74,8 @@ ANALYSIS OPTIONS:
     --samples N            experiment count for campaign (1000)
     --filter MODE          off | per-site | global (per-site)
     --extraction MODE      propagation-extraction path: buffered |
-                           lockstep | streamed (streamed). All paths
-                           produce identical results.
-    --capacity N           lockstep channel capacity, >= 1 (64); only
-                           meaningful with --extraction lockstep
+                           streamed (streamed). Both paths produce
+                           identical results.
     --safety F             analyze static: divide analytical thresholds
                            by F >= 1 as a rounding margin (1.0)
     --no-validate          analyze static/bits: skip the exhaustive
@@ -106,21 +111,19 @@ ANALYSIS OPTIONS:
                            deprioritise (adaptive) bits the forward
                            interval analysis certifies as masked
                            (instrumented kernels only)
-    --snapshot             campaign/exhaustive: snapshot full kernel state
-                           at golden-run section boundaries and start each
-                           experiment from the snapshot preceding its
-                           fault site (snapshot-capable kernels only:
-                           jacobi, gemm, blocked lu, matrix-free cg).
-                           Results are
+    --snapshot             snapshot full kernel state at golden-run
+                           section boundaries and start each experiment
+                           from the snapshot preceding its fault site
+                           (snapshot-capable kernels only: jacobi, gemm,
+                           blocked lu, matrix-free cg). Results are
                            bit-identical to from-scratch execution.
     --snapshot-max N       snapshot: retain at most N evenly spaced
                            boundary snapshots (128)
-    --batch-lanes N        campaign/exhaustive with --snapshot: run up to
-                           N experiments sharing a serving snapshot as
-                           one lane-batched sweep (batch-capable kernels:
-                           jacobi, gemm, lu; streamed extraction only).
-                           Results stay bit-identical to scalar runs.
-                           1 (the default) disables batching.
+    --batch-lanes N        with --snapshot: run up to N experiments
+                           sharing a serving snapshot as one lane-batched
+                           sweep (batch-capable kernels: jacobi, gemm,
+                           lu). Results stay bit-identical to scalar
+                           runs. 1 (the default) disables batching.
     --json PATH            also write results as JSON
 
 CHECKPOINT / OBSERVABILITY OPTIONS (campaign, exhaustive, adaptive):
@@ -176,8 +179,7 @@ pub struct Args {
     pub secant: bool,
     /// `exhaustive`/`adaptive`: prune statically certified bits.
     pub bit_prune: bool,
-    /// `campaign`/`exhaustive`: resume experiments from golden-run
-    /// boundary snapshots.
+    /// Resume experiments from golden-run boundary snapshots.
     pub snapshot: bool,
     /// Snapshot-store retention cap.
     pub snapshot_max: usize,
@@ -253,13 +255,21 @@ pub fn parse(raw: &[String]) -> Result<Args, CliError> {
         _ => command,
     };
 
-    // collect --key value / --flag pairs
+    // collect --key value / --flag pairs; the known flags are exactly
+    // the ones USAGE documents
+    let known: HashSet<&str> = USAGE
+        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+        .filter_map(|word| word.strip_prefix("--"))
+        .collect();
     let mut flags: HashMap<String, String> = HashMap::new();
     let mut i = flag_start;
     while i < raw.len() {
         let key = raw[i]
             .strip_prefix("--")
             .ok_or_else(|| err(format!("expected a --flag, got '{}'", raw[i])))?;
+        if !known.contains(key) {
+            return Err(err(format!("unknown flag '--{key}'")));
+        }
         let boolean = matches!(
             key,
             "f32"
@@ -396,15 +406,11 @@ pub fn parse(raw: &[String]) -> Result<Args, CliError> {
     };
 
     // validated here, once, so every command sees a well-formed mode
-    let capacity = get_usize("capacity", 64)?;
-    if capacity == 0 {
-        return Err(err("--capacity must be at least 1"));
-    }
     let extraction_name = flags
         .get("extraction")
         .map(String::as_str)
         .unwrap_or("streamed");
-    let extraction = ExtractionMode::from_name(extraction_name, capacity).ok_or_else(|| {
+    let extraction = ExtractionMode::from_name(extraction_name).ok_or_else(|| {
         err(format!(
             "--extraction: unknown mode '{extraction_name}' (expected {})",
             ExtractionMode::NAMES.join(" | ")
@@ -516,6 +522,11 @@ mod tests {
 
     fn v(s: &[&str]) -> Vec<String> {
         s.iter().map(|x| x.to_string()).collect()
+    }
+
+    /// A whitespace-separated command line as raw arguments.
+    fn line(s: &str) -> Vec<String> {
+        s.split_whitespace().map(String::from).collect()
     }
 
     #[test]
@@ -890,59 +901,66 @@ mod tests {
 
     #[test]
     fn extraction_modes_parse() {
-        let a = parse(&v(&[
-            "campaign",
-            "--kernel",
-            "matvec",
-            "--extraction",
-            "buffered",
-        ]))
-        .unwrap();
-        assert_eq!(a.extraction, ExtractionMode::Buffered);
-        let a = parse(&v(&[
-            "campaign",
-            "--kernel",
-            "matvec",
-            "--extraction",
-            "lockstep",
-            "--capacity",
-            "16",
-        ]))
-        .unwrap();
-        assert_eq!(a.extraction, ExtractionMode::Lockstep { capacity: 16 });
+        for mode in ExtractionMode::NAMES {
+            let a = parse(&line(&format!(
+                "campaign --kernel matvec --extraction {mode}"
+            )))
+            .unwrap();
+            assert_eq!(a.extraction.name(), mode);
+        }
     }
 
     #[test]
     fn unknown_extraction_mode_rejected_with_choices() {
-        let e = parse(&v(&[
-            "campaign",
-            "--kernel",
-            "matvec",
-            "--extraction",
-            "warp",
-        ]))
-        .unwrap_err();
-        assert!(e.0.contains("buffered | lockstep | streamed"), "{}", e.0);
+        for mode in ["warp", "lockstep"] {
+            let e = parse(&line(&format!(
+                "campaign --kernel matvec --extraction {mode}"
+            )))
+            .unwrap_err();
+            assert!(e.0.contains(&format!("'{mode}'")), "{}", e.0);
+            assert!(e.0.contains("buffered | streamed"), "{}", e.0);
+        }
     }
 
     #[test]
-    fn zero_capacity_rejected_at_parse_time() {
-        // regression: the lockstep extractor asserts on capacity > 0, so
-        // a zero capacity must die here with a clear message, not deep in
-        // a worker thread mid-campaign
-        let e = parse(&v(&[
-            "campaign",
-            "--kernel",
-            "matvec",
-            "--extraction",
-            "lockstep",
-            "--capacity",
-            "0",
-        ]))
+    fn unknown_flags_rejected_by_name() {
+        let e = parse(&line("campaign --kernel matvec --capacity 16")).unwrap_err();
+        assert!(e.0.contains("unknown flag '--capacity'"), "{}", e.0);
+        let e = parse(&line(
+            "exhaustive --kernel jacobi --snapshot --snapshot-mx 4",
+        ))
         .unwrap_err();
-        assert!(e.0.contains("--capacity must be at least 1"), "{}", e.0);
-        // a zero capacity is rejected even when lockstep is not selected
-        assert!(parse(&v(&["campaign", "--kernel", "matvec", "--capacity", "0"])).is_err());
+        assert!(e.0.contains("unknown flag '--snapshot-mx'"), "{}", e.0);
+        // the kernel flags USAGE documents alongside the others
+        let a = parse(&line("golden --kernel cg --rtol 1e-6 --max-iters 50")).unwrap();
+        let KernelConfig::Cg(cfg) = &a.kernel else {
+            panic!("wrong kernel")
+        };
+        assert_eq!((cfg.rtol, cfg.max_iters), (1e-6, 50));
+        let a = parse(&line("golden --kernel jacobi --fine 1 --resid-every 4")).unwrap();
+        let KernelConfig::Jacobi(cfg) = &a.kernel else {
+            panic!("wrong kernel")
+        };
+        assert!(cfg.fine_grained);
+        assert_eq!(cfg.residual_every, 4);
+    }
+
+    #[test]
+    fn benchmark_command_lines_parse() {
+        let run =
+            "--seed 42 --json answer.json --checkpoint ledger.jsonl --metrics-out metrics.json";
+        for workload in [
+            "exhaustive --kernel jacobi --grid 14 --sweeps 40 --tolerance 1e-4 \
+             --bit-prune --snapshot --batch-lanes 16",
+            "adaptive --kernel cg --grid 10 --tolerance 1e-4 --bit-prune --domain affine",
+        ] {
+            let a = parse(&line(&format!("{workload} {run}"))).unwrap();
+            assert!(a.bit_prune);
+            assert_eq!(a.seed, 42);
+            assert_eq!(a.json.as_deref(), Some("answer.json"));
+            assert_eq!(a.checkpoint.as_deref(), Some("ledger.jsonl"));
+            assert_eq!(a.metrics_out.as_deref(), Some("metrics.json"));
+        }
     }
 
     #[test]

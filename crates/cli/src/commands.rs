@@ -9,11 +9,12 @@ use ftb_inject::{
     BitPruneBinding, CampaignBinding, CampaignMetrics, ChunkedCampaign, ExhaustiveResult,
     MetricsSnapshot,
 };
+use ftb_kernels::Kernel;
 use ftb_report::{
     bits_vuln_table, boundary_comparison, sections_table, BitsVulnRow, BoundaryMethodRow,
     SectionRow, Table,
 };
-use ftb_trace::FaultSpec;
+use ftb_trace::{FaultSpec, GoldenRun};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use std::path::Path;
@@ -58,6 +59,38 @@ fn campaign_binding(args: &Args, injector: &Injector<'_>, plan: &str) -> Campaig
         snapshot: injector.snapshot_store().map(|s| s.binding()),
         batch: injector.batch_binding(),
     }
+}
+
+/// The analysis session every command runs on: the golden run (recorded
+/// here unless the caller already has it), the `--extraction` path, and
+/// the `--snapshot` / `--snapshot-max` / `--batch-lanes` execution layers.
+/// A requested layer that does not apply is noted on stderr and the run
+/// falls back to the scalar from-scratch path; results are bit-identical
+/// either way.
+fn setup<'k>(args: &Args, kernel: &'k dyn Kernel, golden: Option<GoldenRun>) -> Analysis<'k> {
+    let classifier = Classifier::new(args.tolerance);
+    let mut injector = match golden {
+        Some(golden) => Injector::with_golden(kernel, golden, classifier),
+        None => Injector::new(kernel, classifier),
+    }
+    .with_extraction(args.extraction);
+    if args.snapshot {
+        injector = injector.with_snapshots(args.snapshot_max);
+        if injector.snapshot_store().is_none() {
+            eprintln!(
+                "[ftb {}] note: kernel is not snapshot-capable; running from scratch",
+                args.command
+            );
+        }
+    }
+    injector = injector.with_batch_lanes(args.batch_lanes);
+    if args.batch_lanes > 1 && injector.batch_binding().is_none() {
+        eprintln!(
+            "[ftb {}] note: batching does not apply here; running scalar",
+            args.command
+        );
+    }
+    Analysis::from_injector(injector)
 }
 
 /// Run a fixed fault plan through the chunked campaign runtime, with the
@@ -144,12 +177,7 @@ fn golden(args: &Args) -> Result<String, CliError> {
 
 fn campaign(args: &Args) -> Result<String, CliError> {
     let kernel = args.kernel.build();
-    let mut analysis = Analysis::new(kernel.as_ref(), Classifier::new(args.tolerance))
-        .with_extraction(args.extraction);
-    if args.snapshot {
-        analysis = analysis.with_snapshots(args.snapshot_max);
-    }
-    analysis = analysis.with_batch_lanes(args.batch_lanes);
+    let analysis = setup(args, kernel.as_ref(), None);
     let injector = analysis.injector();
     let plan_desc = format!("monte-carlo n={} seed={}", args.samples, args.seed);
     let plan = monte_carlo_plan(injector.n_sites(), injector.bits(), args.samples, args.seed);
@@ -182,7 +210,7 @@ fn campaign(args: &Args) -> Result<String, CliError> {
 /// Forward-interval safe-bit masks for `--bit-prune` and `analyze bits`:
 /// static backward boundary × forward value envelopes, both derived from
 /// the golden run's provenance DDG with zero injections.
-fn static_bit_masks(args: &Args, kernel: &dyn ftb_kernels::Kernel) -> Result<BitMasks, CliError> {
+fn static_bit_masks(args: &Args, kernel: &dyn Kernel) -> Result<BitMasks, CliError> {
     let (golden, ddg) = kernel.golden_with_ddg();
     if args.domain == "affine" {
         let acfg = AffineConfig {
@@ -209,19 +237,8 @@ fn static_bit_masks(args: &Args, kernel: &dyn ftb_kernels::Kernel) -> Result<Bit
 
 fn exhaustive(args: &Args) -> Result<String, CliError> {
     let kernel = args.kernel.build();
-    let mut analysis = Analysis::new(kernel.as_ref(), Classifier::new(args.tolerance))
-        .with_extraction(args.extraction);
-    if args.snapshot {
-        analysis = analysis.with_snapshots(args.snapshot_max);
-    }
-    analysis = analysis.with_batch_lanes(args.batch_lanes);
+    let analysis = setup(args, kernel.as_ref(), None);
     let injector = analysis.injector();
-    if args.snapshot && injector.snapshot_store().is_none() {
-        eprintln!("[ftb exhaustive] note: kernel is not snapshot-capable; running from scratch");
-    }
-    if args.batch_lanes > 1 && injector.batch_binding().is_none() {
-        eprintln!("[ftb exhaustive] note: batching does not apply here; running scalar");
-    }
 
     let masks = if args.bit_prune {
         Some(static_bit_masks(args, kernel.as_ref())?)
@@ -275,8 +292,7 @@ fn exhaustive(args: &Args) -> Result<String, CliError> {
 fn analyze(args: &Args) -> Result<String, CliError> {
     let filter = filter_mode(&args.filter)?;
     let kernel = args.kernel.build();
-    let analysis = Analysis::new(kernel.as_ref(), Classifier::new(args.tolerance))
-        .with_extraction(args.extraction);
+    let analysis = setup(args, kernel.as_ref(), None);
     let samples = analysis.sample_uniform(args.rate, args.seed);
     let inference = analysis.infer(&samples, filter);
     let predictor = analysis.predictor(&inference.boundary);
@@ -385,11 +401,11 @@ fn analyze_static(args: &Args) -> Result<String, CliError> {
 
     // validation: exhaustive ground truth + a pinned-seed sample, then the
     // static / inferred / golden three-way comparison
-    let injector = Injector::with_golden(kernel.as_ref(), golden, Classifier::new(args.tolerance))
-        .with_extraction(args.extraction);
+    let analysis = setup(args, kernel.as_ref(), Some(golden));
+    let injector = analysis.injector();
     let truth = injector.exhaustive();
     let n_val_sites = ((args.rate * injector.n_sites() as f64).ceil() as usize).max(4);
-    let samples = SampleSet::sample_sites(&injector, n_val_sites, args.seed);
+    let samples = SampleSet::sample_sites(injector, n_val_sites, args.seed);
     let v = validate_static(
         &Predictor::new(injector.golden(), &boundary),
         &truth,
@@ -398,7 +414,7 @@ fn analyze_static(args: &Args) -> Result<String, CliError> {
         &sb.thresholds,
     );
 
-    let inference = infer_boundary(&injector, &samples, filter);
+    let inference = infer_boundary(injector, &samples, filter);
     let inferred_pred = Predictor::new(injector.golden(), &inference.boundary);
     let inferred_eval = BoundaryEval::against_exhaustive(&inferred_pred, &truth);
     let inferred_unc = BoundaryEval::uncertainty(&inferred_pred, &samples).precision;
@@ -467,7 +483,7 @@ struct ComposeReport {
 }
 
 /// Per-site smallest SDC-causing injected error, from exhaustive truth.
-fn min_sdc_per_site(golden: &ftb_trace::GoldenRun, truth: &ExhaustiveResult) -> Vec<f64> {
+fn min_sdc_per_site(golden: &GoldenRun, truth: &ExhaustiveResult) -> Vec<f64> {
     (0..golden.n_sites())
         .map(|site| {
             let errs = golden.flip_errors(site);
@@ -481,8 +497,8 @@ fn min_sdc_per_site(golden: &ftb_trace::GoldenRun, truth: &ExhaustiveResult) -> 
 
 fn analyze_compose(args: &Args) -> Result<String, CliError> {
     let kernel = args.kernel.build();
-    let injector = Injector::new(kernel.as_ref(), Classifier::new(args.tolerance))
-        .with_extraction(args.extraction);
+    let analysis = setup(args, kernel.as_ref(), None);
+    let injector = analysis.injector();
     let cfg = ftb_core::ComposeConfig {
         tolerance: args.tolerance,
         rate: args.rate,
@@ -494,7 +510,7 @@ fn analyze_compose(args: &Args) -> Result<String, CliError> {
     };
     let ledger = args.checkpoint.as_ref().map(Path::new);
     let t0 = Instant::now();
-    let r = compose_analysis(kernel.as_ref(), &args.kernel, &injector, &cfg, ledger)
+    let r = compose_analysis(kernel.as_ref(), &args.kernel, injector, &cfg, ledger)
         .map_err(|e| CliError(format!("compose analysis: {e}")))?;
     let compose_seconds = t0.elapsed().as_secs_f64();
 
@@ -564,8 +580,8 @@ fn analyze_compose(args: &Args) -> Result<String, CliError> {
     report.conservative_fraction = Some(conservative);
 
     let n_val_sites = ((args.rate * injector.n_sites() as f64).ceil() as usize).max(4);
-    let samples = SampleSet::sample_sites(&injector, n_val_sites, args.seed);
-    let inference = infer_boundary(&injector, &samples, FilterMode::PerSite);
+    let samples = SampleSet::sample_sites(injector, n_val_sites, args.seed);
+    let inference = infer_boundary(injector, &samples, FilterMode::PerSite);
     let inferred_eval =
         BoundaryEval::against_exhaustive(&Predictor::new(golden, &inference.boundary), &truth);
 
@@ -870,8 +886,8 @@ fn analyze_bits(args: &Args) -> Result<String, CliError> {
     }
 
     // conservatism scorecard: every certified bit must really be masked
-    let injector = Injector::with_golden(kernel.as_ref(), golden, Classifier::new(args.tolerance))
-        .with_extraction(args.extraction);
+    let analysis = setup(args, kernel.as_ref(), Some(golden));
+    let injector = analysis.injector();
     let truth = injector.exhaustive();
     let (mut violations, mut truly_masked, mut certified_ok, mut crash_hits) =
         (0u64, 0u64, 0u64, 0u64);
@@ -936,9 +952,9 @@ fn analyze_bits(args: &Args) -> Result<String, CliError> {
 
 fn analyze_characterize(args: &Args) -> Result<String, CliError> {
     let kernel = args.kernel.build();
-    let injector = Injector::new(kernel.as_ref(), Classifier::new(args.tolerance))
-        .with_extraction(args.extraction);
-    let report = ftb_inject::characterize(&injector, &args.threads);
+    let analysis = setup(args, kernel.as_ref(), None);
+    let injector = analysis.injector();
+    let report = ftb_inject::characterize(injector, &args.threads);
     maybe_write_json(args, &report)?;
 
     let mut out = String::new();
@@ -1056,8 +1072,7 @@ fn load_adaptive_checkpoint(
 fn adaptive(args: &Args) -> Result<String, CliError> {
     let filter = filter_mode(&args.filter)?;
     let kernel = args.kernel.build();
-    let analysis = Analysis::new(kernel.as_ref(), Classifier::new(args.tolerance))
-        .with_extraction(args.extraction);
+    let analysis = setup(args, kernel.as_ref(), None);
     let injector = analysis.injector();
     let cfg = AdaptiveConfig {
         filter,
@@ -1171,8 +1186,7 @@ fn adaptive(args: &Args) -> Result<String, CliError> {
 fn report(args: &Args) -> Result<String, CliError> {
     let filter = filter_mode(&args.filter)?;
     let kernel = args.kernel.build();
-    let analysis = Analysis::new(kernel.as_ref(), Classifier::new(args.tolerance))
-        .with_extraction(args.extraction);
+    let analysis = setup(args, kernel.as_ref(), None);
     let samples = analysis.sample_uniform(args.rate, args.seed);
     let inference = analysis.infer(&samples, filter);
     let predictor = analysis.predictor(&inference.boundary);
@@ -1217,8 +1231,7 @@ fn report(args: &Args) -> Result<String, CliError> {
 fn protect(args: &Args) -> Result<String, CliError> {
     let filter = filter_mode(&args.filter)?;
     let kernel = args.kernel.build();
-    let analysis = Analysis::new(kernel.as_ref(), Classifier::new(args.tolerance))
-        .with_extraction(args.extraction);
+    let analysis = setup(args, kernel.as_ref(), None);
     let samples = analysis.sample_uniform(args.rate, args.seed);
     let inference = analysis.infer(&samples, filter);
     let predictor = analysis.predictor(&inference.boundary);
@@ -1682,33 +1695,39 @@ mod tests {
 
     #[test]
     fn exhaustive_snapshot_agrees_with_from_scratch() {
-        let base = [
-            "exhaustive",
-            "--kernel",
-            "jacobi",
-            "--grid",
-            "4",
-            "--sweeps",
-            "10",
-            "--tolerance",
-            "1e-4",
-        ];
-        let scratch = dispatch(&parse(&v(&base)).unwrap()).unwrap();
-        let mut snap_args = base.to_vec();
-        snap_args.extend(["--snapshot", "--snapshot-max", "4"]);
-        let snap = dispatch(&parse(&v(&snap_args)).unwrap()).unwrap();
-        assert!(snap.contains("snapshots:    4 boundaries"), "{snap}");
-        let tail = |s: &str| {
-            s.lines()
-                .filter(|l| l.starts_with("outcomes:") || l.starts_with("SDC ratio:"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(
-            tail(&scratch),
-            tail(&snap),
-            "\nscratch:\n{scratch}\nsnapshot:\n{snap}"
-        );
+        // every command builds its injector through `setup`, so the
+        // execution layers must leave each command's answer unchanged
+        for (command, layers) in [
+            ("exhaustive", "--snapshot --snapshot-max 4"),
+            ("adaptive", "--snapshot --batch-lanes 8"),
+            ("analyze", "--snapshot --batch-lanes 8"),
+        ] {
+            let run = |layers: &str| {
+                let path = std::env::temp_dir()
+                    .join(format!("ftb_cli_layers_{command}_{}.json", layers.len()));
+                let mut argv: Vec<String> = format!(
+                    "{command} --kernel jacobi --grid 4 --sweeps 10 --tolerance 1e-4 \
+                     {layers} --json"
+                )
+                .split_whitespace()
+                .map(String::from)
+                .collect();
+                argv.push(path.display().to_string());
+                let out = dispatch(&parse(&argv).unwrap()).unwrap();
+                let json = std::fs::read(&path).unwrap();
+                let _ = std::fs::remove_file(&path);
+                (out, json)
+            };
+            let (_, scratch) = run("");
+            let (out, layered) = run(layers);
+            if command == "exhaustive" {
+                assert!(out.contains("snapshots:    4 boundaries"), "{out}");
+            }
+            assert!(
+                scratch == layered,
+                "{command}: --json differs under {layers}"
+            );
+        }
     }
 
     #[test]

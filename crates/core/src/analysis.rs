@@ -32,6 +32,12 @@ impl<'k> Analysis<'k> {
         }
     }
 
+    /// The analysis session over an already-configured injector (golden
+    /// run, extraction path and execution layers chosen by the caller).
+    pub fn from_injector(injector: Injector<'k>) -> Self {
+        Analysis { injector }
+    }
+
     /// Select the propagation-extraction path for every campaign and
     /// inference this session runs (default
     /// [`ExtractionMode::Streamed`]). Results are identical across

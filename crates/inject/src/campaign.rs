@@ -11,9 +11,6 @@ use crate::batch::BatchEngine;
 use crate::experiment::Experiment;
 use crate::extraction::ExtractionMode;
 use crate::ledger::BatchBinding;
-use crate::lockstep::{
-    fold_propagation_lockstep, fold_propagation_lockstep_resumed, LockstepResume,
-};
 use crate::outcome::{Classifier, Outcome};
 use crate::snapshot::{Snapshot, SnapshotStore};
 use ftb_kernels::Kernel;
@@ -254,13 +251,7 @@ impl<'k> Injector<'k> {
     /// Select the propagation-extraction path (default
     /// [`ExtractionMode::Streamed`]). All modes produce identical
     /// results; this is a pure performance/memory choice.
-    ///
-    /// # Panics
-    /// Panics on a lockstep mode with zero capacity.
     pub fn with_extraction(mut self, mode: ExtractionMode) -> Self {
-        if let ExtractionMode::Lockstep { capacity } = mode {
-            assert!(capacity > 0, "lockstep capacity must be positive");
-        }
         self.extraction = mode;
         self
     }
@@ -544,16 +535,6 @@ impl<'k> Injector<'k> {
         ))
     }
 
-    /// Lockstep resume coordinates for a fault, if a snapshot serves it.
-    fn lockstep_resume_for(&self, fault: FaultSpec) -> Option<LockstepResume> {
-        let (store, snap) = self.resume_for(fault)?;
-        Some(LockstepResume {
-            cursor: snap.cursor,
-            branch_count: snap.branch_count,
-            state: store.state(snap),
-        })
-    }
-
     /// Run one propagation-extracting experiment via the configured
     /// extraction path, discarding the propagation fold.
     fn run_one_via(&self, fault: FaultSpec) -> Experiment {
@@ -567,32 +548,6 @@ impl<'k> Injector<'k> {
                 Some((e, _)) => e,
                 None => self.run_one_traced(fault.site, fault.bit).0,
             },
-            ExtractionMode::Lockstep { capacity } => {
-                let report = match self.lockstep_resume_for(fault) {
-                    Some(rs) => fold_propagation_lockstep_resumed(
-                        self.kernel,
-                        fault,
-                        &self.classifier,
-                        capacity,
-                        &rs,
-                        |_, _| {},
-                    ),
-                    None => fold_propagation_lockstep(
-                        self.kernel,
-                        fault,
-                        &self.classifier,
-                        capacity,
-                        |_, _| {},
-                    ),
-                };
-                Experiment {
-                    site: fault.site,
-                    bit: fault.bit,
-                    injected_err: report.injected_err.unwrap_or(0.0),
-                    output_err: report.output_err,
-                    outcome: report.outcome,
-                }
-            }
             ExtractionMode::Streamed => match self.try_run_one_streamed_resumed(fault) {
                 Some(e) => e,
                 None => self.run_one_streamed(fault, None).0,
@@ -625,27 +580,6 @@ impl<'k> Injector<'k> {
                     compare_len: prop.compare_len,
                     diverged: prop.diverged,
                     max_err,
-                }
-            }
-            ExtractionMode::Lockstep { capacity } => {
-                let report = fold_propagation_lockstep(
-                    self.kernel,
-                    FaultSpec { site, bit },
-                    &self.classifier,
-                    capacity,
-                    fold,
-                );
-                ExtractionSummary {
-                    experiment: Experiment {
-                        site,
-                        bit,
-                        injected_err: report.injected_err.unwrap_or(0.0),
-                        output_err: report.output_err,
-                        outcome: report.outcome,
-                    },
-                    compare_len: report.compare_len,
-                    diverged: report.diverged,
-                    max_err: report.max_err,
                 }
             }
             ExtractionMode::Streamed => {
@@ -687,9 +621,9 @@ impl<'k> Injector<'k> {
     /// streamed extraction mode, snapshot-served faults run as
     /// lane-batched sweeps with the amortised golden comparator (a
     /// streamed-resumed experiment record carries no propagation fold,
-    /// so the batched records are bit-identical). The buffered and
-    /// lockstep modes stay scalar — their contracts include per-run
-    /// artefacts a shared-cursor sweep cannot synthesise.
+    /// so the batched records are bit-identical). The buffered mode
+    /// stays scalar — its contract includes a per-run trace record a
+    /// shared-cursor sweep cannot synthesise.
     pub fn run_batch(&self, faults: &[FaultSpec]) -> Vec<Experiment> {
         if matches!(self.extraction, ExtractionMode::Streamed) {
             if let Some(engine) = self.batch_engine(true) {
@@ -946,14 +880,10 @@ mod tests {
         let buffered = injector(&k)
             .with_extraction(ExtractionMode::Buffered)
             .run_batch(&faults);
-        let lockstep = injector(&k)
-            .with_extraction(ExtractionMode::Lockstep { capacity: 8 })
-            .run_batch(&faults);
         let streamed = injector(&k)
             .with_extraction(ExtractionMode::Streamed)
             .run_batch(&faults);
         assert_eq!(buffered, streamed);
-        assert_eq!(buffered, lockstep);
     }
 
     #[test]
@@ -967,11 +897,9 @@ mod tests {
             (summary, folded)
         };
         let b = collect(ExtractionMode::Buffered);
-        let l = collect(ExtractionMode::Lockstep { capacity: 4 });
         let s = collect(ExtractionMode::Streamed);
         assert!(b.0.max_err > 0.0);
         assert_eq!(b, s);
-        assert_eq!(b, l);
     }
 
     #[test]
@@ -1001,11 +929,7 @@ mod tests {
                 bit: (i * 11 % 64) as u8,
             })
             .collect();
-        for mode in [
-            ExtractionMode::Buffered,
-            ExtractionMode::Lockstep { capacity: 32 },
-            ExtractionMode::Streamed,
-        ] {
+        for mode in [ExtractionMode::Buffered, ExtractionMode::Streamed] {
             let scratch = Injector::new(&k, Classifier::new(1e-6))
                 .with_extraction(mode)
                 .run_batch(&faults);
@@ -1166,13 +1090,5 @@ mod tests {
             .unwrap();
         assert_eq!(thin.lanes, 8);
         assert_ne!(b8.digest, thin.digest);
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_capacity_lockstep_mode_rejected() {
-        use crate::extraction::ExtractionMode;
-        let k = tiny_kernel();
-        let _ = injector(&k).with_extraction(ExtractionMode::Lockstep { capacity: 0 });
     }
 }

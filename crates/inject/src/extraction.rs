@@ -3,26 +3,22 @@
 //! The paper's §5 identifies the cost of propagation extraction as the
 //! limit on campaign scale: either `8 bytes × dynamic instructions` of
 //! golden state per faulty trace (buffering), or a duplicated golden
-//! computation per experiment (lockstep). This workspace implements both
-//! and a third, one-sided path:
+//! computation per experiment. This workspace implements buffering and a
+//! one-sided path that meets duplication's memory goal without running
+//! the program a second time:
 //!
 //! * [`ExtractionMode::Buffered`] — the faulty run records its full value
 //!   and branch streams ([`ftb_trace::RecordMode::Full`]); propagation is
 //!   extracted afterwards by [`ftb_trace::propagation`]. Reference
 //!   semantics; `O(dynamic instructions)` fresh heap per experiment.
-//! * [`ExtractionMode::Lockstep`] — golden and faulty executions run
-//!   concurrently, streaming into bounded channels
-//!   ([`crate::lockstep`]). `O(capacity)` memory, but two extra threads
-//!   and a full golden re-execution per experiment.
 //! * [`ExtractionMode::Streamed`] — the faulty run compares itself
 //!   against the shared read-only [`ftb_trace::CompactGolden`] *while it
-//!   executes* ([`ftb_trace::Tracer::comparing`]): no second thread, no
-//!   channels, no per-experiment trace buffer — only a per-worker scratch
-//!   of nonzero `(site, Δx)` pairs, reused across experiments. The
-//!   default.
+//!   executes* ([`ftb_trace::Tracer::comparing`]): no second execution,
+//!   no per-experiment trace buffer — only a per-worker scratch of
+//!   nonzero `(site, Δx)` pairs, reused across experiments. The default.
 //!
-//! All three produce bit-identical [`ftb_trace::Propagation`] folds,
-//! outcomes and error magnitudes (proven by
+//! Both produce bit-identical [`ftb_trace::Propagation`] folds, outcomes
+//! and error magnitudes (proven by
 //! `tests/tests/extraction_equivalence.rs`), so the mode is a pure
 //! performance choice and is deliberately **not** part of the campaign
 //! ledger binding: ledgers written under different modes are
@@ -36,12 +32,6 @@ use std::fmt;
 pub enum ExtractionMode {
     /// Record the full faulty trace, compare afterwards (paper §2.2).
     Buffered,
-    /// Computation duplication over bounded channels (paper §5).
-    Lockstep {
-        /// Per-stream channel capacity; bounds peak extraction memory.
-        /// Must be positive.
-        capacity: usize,
-    },
     /// One-sided streaming comparison against the shared compact golden
     /// trace (the fast path, and the default).
     #[default]
@@ -50,14 +40,12 @@ pub enum ExtractionMode {
 
 impl ExtractionMode {
     /// The CLI names, in display order.
-    pub const NAMES: [&'static str; 3] = ["buffered", "lockstep", "streamed"];
+    pub const NAMES: [&'static str; 2] = ["buffered", "streamed"];
 
-    /// Parse a CLI name; `capacity` supplies the lockstep channel bound.
-    /// Returns `None` for an unknown name or a zero lockstep capacity.
-    pub fn from_name(name: &str, capacity: usize) -> Option<Self> {
+    /// Parse a CLI name; `None` for an unknown name.
+    pub fn from_name(name: &str) -> Option<Self> {
         match name {
             "buffered" => Some(ExtractionMode::Buffered),
-            "lockstep" if capacity > 0 => Some(ExtractionMode::Lockstep { capacity }),
             "streamed" => Some(ExtractionMode::Streamed),
             _ => None,
         }
@@ -67,7 +55,6 @@ impl ExtractionMode {
     pub fn name(&self) -> &'static str {
         match self {
             ExtractionMode::Buffered => "buffered",
-            ExtractionMode::Lockstep { .. } => "lockstep",
             ExtractionMode::Streamed => "streamed",
         }
     }
@@ -91,16 +78,15 @@ mod tests {
     #[test]
     fn names_round_trip() {
         for name in ExtractionMode::NAMES {
-            let mode = ExtractionMode::from_name(name, 64).unwrap();
+            let mode = ExtractionMode::from_name(name).unwrap();
             assert_eq!(mode.name(), name);
             assert_eq!(mode.to_string(), name);
         }
     }
 
     #[test]
-    fn unknown_and_zero_capacity_rejected() {
-        assert_eq!(ExtractionMode::from_name("fancy", 64), None);
-        assert_eq!(ExtractionMode::from_name("lockstep", 0), None);
-        assert!(ExtractionMode::from_name("buffered", 0).is_some());
+    fn unknown_rejected() {
+        assert_eq!(ExtractionMode::from_name("fancy"), None);
+        assert_eq!(ExtractionMode::from_name("lockstep"), None);
     }
 }

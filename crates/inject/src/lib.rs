@@ -24,9 +24,9 @@
 //!   a crash-safe streaming [`ledger`], live [`obs`] metrics, and
 //!   kill-and-resume recovery.
 //!
-//! Propagation-extracting campaigns select one of three equivalent
-//! [`ExtractionMode`] paths (buffered, lockstep, streamed — see
-//! [`extraction`]); `streamed` is the default and fastest.
+//! Propagation-extracting campaigns select one of two equivalent
+//! [`ExtractionMode`] paths (buffered, streamed — see [`extraction`]);
+//! `streamed` is the default and fastest.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -37,7 +37,6 @@ pub mod characterize;
 pub mod experiment;
 pub mod extraction;
 pub mod ledger;
-pub mod lockstep;
 pub mod monte_carlo;
 pub mod obs;
 pub mod outcome;
@@ -54,9 +53,6 @@ pub use extraction::ExtractionMode;
 pub use ledger::{
     read_ledger, BatchBinding, BitPruneBinding, CampaignBinding, LedgerError, LedgerHeader,
     LedgerWriter, SnapshotBinding,
-};
-pub use lockstep::{
-    fold_propagation_lockstep, fold_propagation_lockstep_resumed, LockstepReport, LockstepResume,
 };
 pub use monte_carlo::{monte_carlo, MonteCarloEstimate};
 pub use obs::{CampaignMetrics, MetricsSnapshot, ProgressReporter};

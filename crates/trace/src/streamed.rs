@@ -1,17 +1,16 @@
 //! One-sided streaming propagation extraction.
 //!
 //! The paper's §5 prices its approach at `8 bytes × dynamic instructions`
-//! of golden state per *extraction*, and the lockstep alternative
-//! ([`crate::tracer::Tracer::streaming`] + `ftb_inject::lockstep`) trades
-//! that for a duplicated golden computation per experiment. This module is
-//! the third point in the design space: the golden trace is recorded
-//! **once** into a shared, read-only
+//! of golden state per *extraction*, and names duplicating the golden
+//! computation per experiment as the memory-bounded alternative. This
+//! module meets that memory goal without the second execution: the
+//! golden trace is recorded **once** into a shared, read-only
 //! [`CompactGolden`](crate::compact::CompactGolden), and every faulty
 //! execution compares its value and branch streams against it *while it
-//! runs* — no second golden thread, no channels, and no per-experiment
-//! full-trace buffer. The only per-experiment state is a
-//! [`CompareScratch`] of nonzero `(site, Δx)` pairs, which a campaign
-//! worker reuses across experiments.
+//! runs* — no second golden run and no per-experiment full-trace
+//! buffer. The only per-experiment state is a [`CompareScratch`] of
+//! nonzero `(site, Δx)` pairs, which a campaign worker reuses across
+//! experiments.
 //!
 //! Semantics are bit-identical to the buffered
 //! [`propagation`](crate::compare::propagation) extractor: the comparable

@@ -145,11 +145,7 @@ fn forward_envelope_contains_golden_across_threads_and_modes() {
             );
         }
 
-        for mode in [
-            ExtractionMode::Buffered,
-            ExtractionMode::Lockstep { capacity: 1024 },
-            ExtractionMode::Streamed,
-        ] {
+        for mode in [ExtractionMode::Buffered, ExtractionMode::Streamed] {
             // extraction concerns faulty-run comparison; the golden
             // provenance pass the envelope is built from must be blind
             // to it

@@ -161,11 +161,7 @@ fn composed_is_identical_across_extraction_paths() {
     for (config, tol) in compose_suite() {
         let kernel = config.build();
         let mut results = Vec::new();
-        for mode in [
-            ExtractionMode::Buffered,
-            ExtractionMode::Lockstep { capacity: 64 },
-            ExtractionMode::Streamed,
-        ] {
+        for mode in [ExtractionMode::Buffered, ExtractionMode::Streamed] {
             let inj = Injector::new(kernel.as_ref(), Classifier::new(tol)).with_extraction(mode);
             let r = compose_analysis(kernel.as_ref(), &config, &inj, &cfg(tol), None).unwrap();
             results.push((mode, r));

@@ -1,10 +1,9 @@
-//! Differential harness across the three propagation-extraction paths.
+//! Differential harness across the two propagation-extraction paths.
 //!
-//! Buffered (full-trace record + after-the-fact comparison), lockstep
-//! (computation duplication over bounded channels) and streamed
+//! Buffered (full-trace record + after-the-fact comparison) and streamed
 //! (one-sided comparison against the shared compact golden trace) are
-//! three implementations of the paper's §2.2 extractor; campaigns may
-//! pick any of them, so they must be **bit-identical**: same
+//! two implementations of the paper's §2.2 extractor; campaigns may
+//! pick either, so they must be **bit-identical**: same
 //! `Propagation` folds, same `Outcome` classifications, same
 //! `injected_err`/`output_err`, across every kernel, fault site, bit,
 //! and control-flow shape.
@@ -56,21 +55,10 @@ fn extract(
 fn assert_paths_agree(config: &KernelConfig, tol: f64, site: usize, bit: u8) {
     let kernel = config.build();
     let buffered = extract(kernel.as_ref(), tol, ExtractionMode::Buffered, site, bit);
-    let lockstep = extract(
-        kernel.as_ref(),
-        tol,
-        ExtractionMode::Lockstep { capacity: 16 },
-        site,
-        bit,
-    );
     let streamed = extract(kernel.as_ref(), tol, ExtractionMode::Streamed, site, bit);
     assert_eq!(
         buffered, streamed,
         "buffered vs streamed disagree: {config:?} site {site} bit {bit}"
-    );
-    assert_eq!(
-        buffered, lockstep,
-        "buffered vs lockstep disagree: {config:?} site {site} bit {bit}"
     );
 }
 
@@ -78,7 +66,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The core differential property: an arbitrary kernel, site and bit
-    /// produce bit-identical extractions on all three paths.
+    /// produce bit-identical extractions on both paths.
     #[test]
     fn all_paths_agree_on_arbitrary_faults(
         kernel_idx in 0usize..8,
@@ -111,9 +99,9 @@ fn all_paths_agree_on_high_bit_faults_across_kernels() {
 }
 
 /// Divergent control flow (the early-consumer-stop path): find faults
-/// that change CG's iteration count, then check all three extractors
-/// agree there. In lockstep this is exactly the case where the consumer
-/// stops early and the producers must detach without deadlocking.
+/// that change CG's iteration count, then check both extractors agree
+/// there: the streamed comparator must seal its window at the
+/// divergence cursor exactly where the buffered one cuts it.
 #[test]
 fn all_paths_agree_under_control_flow_divergence() {
     let config = KernelConfig::Cg(CgConfig {
@@ -174,20 +162,16 @@ fn buffered_and_streamed_agree_when_fault_site_is_never_reached() {
 /// The full conformance matrix: every instrumented kernel in the tiny
 /// suite × every extraction path × {1, 4, 8}-thread rayon pools yields
 /// bit-identical experiment results. The reference cell is buffered
-/// extraction under a serial pool; all eight other cells must reproduce
+/// extraction under a serial pool; all five other cells must reproduce
 /// it exactly — this is the acceptance matrix for wiring the
 /// previously-dormant kernels (lu, fft, spmv, stencil, matvec) into the
 /// campaign stack. The bit axis is strided (every seventh bit plus the
-/// sign and top exponent bits) so the 9-cell matrix stays affordable in
+/// sign and top exponent bits) so the 6-cell matrix stays affordable in
 /// a debug run; full-bit-axis agreement is covered per path by
 /// `exhaustive_outcome_tables_identical_across_paths` and the proptest.
 #[test]
 fn conformance_matrix_all_kernels_modes_and_pools() {
-    let modes = [
-        ExtractionMode::Buffered,
-        ExtractionMode::Lockstep { capacity: 16 },
-        ExtractionMode::Streamed,
-    ];
+    let modes = [ExtractionMode::Buffered, ExtractionMode::Streamed];
     for (config, tol) in &tiny_suite() {
         let kernel = config.build();
         let probe = Injector::new(kernel.as_ref(), Classifier::new(*tol));
@@ -243,16 +227,12 @@ fn conformance_matrix_all_kernels_modes_and_pools() {
 /// captured and an 8-lane batch width configured. Streamed cells on
 /// batch-capable kernels (jacobi, gemm, lu) run the lane-batched SoA
 /// engine; every other cell silently falls back to scalar
-/// snapshot-resumed execution. All 9 cells per kernel must reproduce
+/// snapshot-resumed execution. All 6 cells per kernel must reproduce
 /// serial scalar buffered extraction bitwise — experiments *and* their
 /// serialized ledger-record bytes.
 #[test]
 fn conformance_matrix_batched_axis() {
-    let modes = [
-        ExtractionMode::Buffered,
-        ExtractionMode::Lockstep { capacity: 16 },
-        ExtractionMode::Streamed,
-    ];
+    let modes = [ExtractionMode::Buffered, ExtractionMode::Streamed];
     let mut batched_somewhere = 0;
     for (config, tol) in &tiny_suite() {
         let kernel = config.build();
@@ -314,7 +294,7 @@ fn conformance_matrix_batched_axis() {
     );
 }
 
-/// Exhaustive three-way agreement on one small kernel: the whole
+/// Exhaustive two-way agreement on one small kernel: the whole
 /// `sites × bits` outcome table is identical across paths (this is the
 /// same assertion the CI benchmark smoke job makes on the bench suite).
 #[test]
@@ -328,7 +308,5 @@ fn exhaustive_outcome_tables_identical_across_paths() {
     };
     let buffered = table(ExtractionMode::Buffered);
     let streamed = table(ExtractionMode::Streamed);
-    let lockstep = table(ExtractionMode::Lockstep { capacity: 8 });
     assert_eq!(buffered, streamed);
-    assert_eq!(buffered, lockstep);
 }

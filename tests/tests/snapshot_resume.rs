@@ -66,11 +66,7 @@ fn snapshot_resume_is_bit_identical_across_modes_and_threads() {
     let n = Injector::new(&k, classifier).n_sites();
     let faults = spread_faults(n, 36);
 
-    for mode in [
-        ExtractionMode::Buffered,
-        ExtractionMode::Lockstep { capacity: 32 },
-        ExtractionMode::Streamed,
-    ] {
+    for mode in [ExtractionMode::Buffered, ExtractionMode::Streamed] {
         let reference = Injector::new(&k, classifier)
             .with_extraction(mode)
             .run_batch(&faults);
@@ -192,11 +188,7 @@ fn lu_snapshot_resume_is_bit_identical() {
     let n = Injector::new(&k, classifier).n_sites();
     let faults = spread_faults(n, 36);
 
-    for mode in [
-        ExtractionMode::Buffered,
-        ExtractionMode::Lockstep { capacity: 32 },
-        ExtractionMode::Streamed,
-    ] {
+    for mode in [ExtractionMode::Buffered, ExtractionMode::Streamed] {
         let reference = Injector::new(&k, classifier)
             .with_extraction(mode)
             .run_batch(&faults);

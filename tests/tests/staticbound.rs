@@ -187,11 +187,7 @@ fn ddg_is_deterministic_across_thread_counts_and_extraction_modes() {
             );
         }
 
-        for mode in [
-            ExtractionMode::Buffered,
-            ExtractionMode::Lockstep { capacity: 1024 },
-            ExtractionMode::Streamed,
-        ] {
+        for mode in [ExtractionMode::Buffered, ExtractionMode::Streamed] {
             // an analysis in any extraction mode must see the identical
             // graph: extraction concerns faulty-run comparison, never the
             // golden provenance pass
