@@ -3,7 +3,7 @@
 
 use crate::args::{Args, CliError};
 use ftb_core::prelude::*;
-use ftb_core::{AdaptiveState, StaticValidation};
+use ftb_core::{affine_workers, AdaptiveState, StaticValidation};
 use ftb_inject::{
     exhaustive_plan, monte_carlo_plan, pruned_exhaustive_plan, schedule_snapshot_major,
     BitPruneBinding, CampaignBinding, CampaignMetrics, ChunkedCampaign, ExhaustiveResult,
@@ -209,10 +209,13 @@ fn campaign(args: &Args) -> Result<String, CliError> {
 
 /// Forward-interval safe-bit masks for `--bit-prune` and `analyze bits`:
 /// static backward boundary × forward value envelopes, both derived from
-/// the golden run's provenance DDG with zero injections.
+/// the golden run's provenance DDG with zero injections. Notes on stderr
+/// what the certification certified, over how many swept sites and
+/// workers, and its wall time (golden recording excluded).
 fn static_bit_masks(args: &Args, kernel: &dyn Kernel) -> Result<BitMasks, CliError> {
     let (golden, ddg) = kernel.golden_with_ddg();
-    if args.domain == "affine" {
+    let t0 = Instant::now();
+    let (masks, swept, workers) = if args.domain == "affine" {
         let acfg = AffineConfig {
             budget: args.budget,
         };
@@ -220,19 +223,34 @@ fn static_bit_masks(args: &Args, kernel: &dyn Kernel) -> Result<BitMasks, CliErr
             .map_err(|e| CliError(format!("bit masks: {e}")))?;
         let fw = affine_forward(&ddg, &golden, &ForwardConfig { widen: args.widen }, &acfg)
             .map_err(|e| CliError(format!("forward pass: {e}")))?;
-        return Ok(safe_bit_masks(&fw, &ab.boundary(), MaskSource::Affine));
-    }
-    let sb = static_bound(
-        &ddg,
-        &ftb_core::StaticBoundConfig {
-            tolerance: args.tolerance,
-            safety: args.safety,
-        },
-    )
-    .map_err(|e| CliError(format!("bit masks: {e}")))?;
-    let fw = forward_pass(&ddg, &golden, &ForwardConfig { widen: args.widen })
-        .map_err(|e| CliError(format!("forward pass: {e}")))?;
-    Ok(safe_bit_masks(&fw, &sb.boundary(), MaskSource::Static))
+        let masks = safe_bit_masks(&fw, &ab.boundary(), MaskSource::Affine);
+        (masks, ab.n_swept, affine_workers(ab.n_swept, &acfg))
+    } else {
+        let sb = static_bound(
+            &ddg,
+            &ftb_core::StaticBoundConfig {
+                tolerance: args.tolerance,
+                safety: args.safety,
+            },
+        )
+        .map_err(|e| CliError(format!("bit masks: {e}")))?;
+        let fw = forward_pass(&ddg, &golden, &ForwardConfig { widen: args.widen })
+            .map_err(|e| CliError(format!("forward pass: {e}")))?;
+        // the interval passes are single serial sweeps over every site
+        let masks = safe_bit_masks(&fw, &sb.boundary(), MaskSource::Static);
+        (masks, ddg.n_sites, 1)
+    };
+    eprintln!(
+        "[ftb {}] certify: {} domain, {} of {} bits certified, {swept} sites swept on {workers} \
+         worker{}, {:.3} s",
+        args.command,
+        args.domain,
+        masks.certified_total(),
+        masks.total_bits(),
+        if workers == 1 { "" } else { "s" },
+        t0.elapsed().as_secs_f64()
+    );
+    Ok(masks)
 }
 
 fn exhaustive(args: &Args) -> Result<String, CliError> {

@@ -34,8 +34,12 @@
 //! Cost: the [`super::slice`] prepass certifies empty-cone sites
 //! outright and confines the sweep to the live subgraph; threshold mode
 //! processes injection sites in chunks of at most `budget` (≤ 64)
-//! shared symbols per sweep, so one sweep costs `O(edges · chunk)` and
-//! never needs condensation.
+//! shared symbols per sweep, so it never needs condensation. Each
+//! symbol travels its site's whole forward cone, so the total work is
+//! the sum of the swept sites' cone sizes — quadratic in the trace when
+//! every live site is swept and cones run to the end. The chunks are
+//! spread round-robin over the rayon workers; no result depends on the
+//! worker count or the chunk width.
 //!
 //! The modelling caveat is inherited unchanged from the backward pass:
 //! per-edge secant bounds compose over paths, and cross terms of one
@@ -48,6 +52,7 @@ use super::interval::Interval;
 use super::slice::{influence_slice, InfluenceSlice};
 use crate::staticbound::{backward_pass, StaticBoundError};
 use ftb_trace::{Ddg, GoldenRun};
+use rayon::prelude::*;
 
 /// Tuning knobs of the affine domain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -193,34 +198,6 @@ fn out_degrees(ddg: &Ddg) -> Vec<u32> {
     deg
 }
 
-/// Sinks sorted by def site for `O(log)` per-node range lookup.
-struct SinkIndex {
-    outs: Vec<(u32, f64)>,
-    branches: Vec<(u32, f64, f64)>,
-}
-
-impl SinkIndex {
-    fn new(ddg: &Ddg) -> Self {
-        let mut outs = ddg.out_sinks.clone();
-        outs.sort_unstable_by_key(|&(d, _)| d);
-        let mut branches = ddg.branch_sinks.clone();
-        branches.sort_unstable_by_key(|&(d, _, _)| d);
-        SinkIndex { outs, branches }
-    }
-
-    fn outs_at(&self, u: u32) -> &[(u32, f64)] {
-        let lo = self.outs.partition_point(|&(d, _)| d < u);
-        let hi = self.outs.partition_point(|&(d, _)| d <= u);
-        &self.outs[lo..hi]
-    }
-
-    fn branches_at(&self, u: u32) -> &[(u32, f64, f64)] {
-        let lo = self.branches.partition_point(|&(d, _, _)| d < u);
-        let hi = self.branches.partition_point(|&(d, _, _)| d <= u);
-        &self.branches[lo..hi]
-    }
-}
-
 /// A conservatively rounded-down quotient `num / den` clamped to
 /// `[0, ∞)`: one `next_down` absorbs the half-ulp of correctly rounded
 /// division.
@@ -229,61 +206,152 @@ fn quot_down(num: f64, den: f64) -> f64 {
     (num / den).next_down().max(0.0)
 }
 
-/// Reusable buffers of the chunked threshold sweep.
+/// "No pair list" marker of [`ThresholdSweep::slot`].
+const NO_LIST: u32 = u32::MAX;
+
+/// Read-only tables of the threshold sweep, built once per
+/// [`affine_bound`] call and shared by every worker. Constraints are
+/// kept as site-sorted lists that a sweep walks with forward cursors,
+/// so a node costs no lookup and a site without constraints costs no
+/// memory.
+struct SweepTables {
+    /// Per node, the last node that reads its pairs: the largest use
+    /// among its out-edges, or the node itself when nothing uses it (its
+    /// own constraint check is then the last read).
+    last_read: Vec<u32>,
+    /// `(site, tightest curvature cap)` for every site with a finite
+    /// cap, sorted by site.
+    caps: Vec<(u32, f64)>,
+    /// `(site, amp, limit)` for every positive-amplification sink,
+    /// sorted by site: `limit` is the tolerance for an output sink and
+    /// the margin for a branch sink (`0` when the margin is not
+    /// positive: such a branch certifies no perturbation at all).
+    sinks: Vec<(u32, f64, f64)>,
+}
+
+impl SweepTables {
+    fn new(ddg: &Ddg, tolerance: f64) -> Self {
+        let mut last_read: Vec<u32> = (0..ddg.n_sites as u32).collect();
+        for (&d, &u) in ddg.defs.iter().zip(&ddg.uses) {
+            let slot = &mut last_read[d as usize];
+            *slot = (*slot).max(u);
+        }
+        let caps = min_caps(ddg)
+            .into_iter()
+            .enumerate()
+            .filter(|&(_, c)| c.is_finite())
+            .map(|(s, c)| (s as u32, c))
+            .collect();
+        let outs = ddg
+            .out_sinks
+            .iter()
+            .filter(|&&(_, amp)| amp > 0.0)
+            .map(|&(d, amp)| (d, amp, tolerance));
+        let branches = ddg
+            .branch_sinks
+            .iter()
+            .filter(|&&(_, amp, _)| amp > 0.0)
+            .map(|&(d, amp, margin)| (d, amp, if margin > 0.0 { margin } else { 0.0 }));
+        let mut sinks: Vec<(u32, f64, f64)> = outs.chain(branches).collect();
+        sinks.sort_by_key(|&(d, _, _)| d);
+        SweepTables {
+            last_read,
+            caps,
+            sinks,
+        }
+    }
+}
+
+/// One worker's mutable state of the chunked threshold sweep: a pair
+/// list per live node, drawn from a pool whose lists keep their
+/// capacity from chunk to chunk.
 struct ThresholdSweep {
-    pairs: Vec<Vec<Pair>>,
-    outdeg: Vec<u32>,
-    outdeg0: Vec<u32>,
-    cap: Vec<f64>,
+    /// Per node, the index of its pair list in `lists`, or [`NO_LIST`].
+    slot: Vec<u32>,
+    lists: Vec<Vec<Pair>>,
+    /// Indices of `lists` not in use.
+    free: Vec<u32>,
 }
 
 impl ThresholdSweep {
-    fn new(ddg: &Ddg) -> Self {
-        let outdeg0 = out_degrees(ddg);
+    fn new(n_sites: usize) -> Self {
         ThresholdSweep {
-            pairs: vec![Vec::new(); ddg.n_sites],
-            outdeg: outdeg0.clone(),
-            outdeg0,
-            cap: min_caps(ddg),
+            slot: vec![NO_LIST; n_sites],
+            lists: Vec::new(),
+            free: Vec::new(),
         }
     }
 
-    /// One forward sweep for `seeds.len() ≤ 64` injection sites sharing
-    /// the symbol space `0..seeds.len()`. Returns the per-seed raw
-    /// threshold (before the safety division), `+∞` when nothing in the
-    /// cone constrains the site.
+    /// Hand node `u` an empty pair list.
+    fn open(&mut self, u: usize) -> usize {
+        let i = match self.free.pop() {
+            Some(i) => i,
+            None => {
+                self.lists.push(Vec::new());
+                (self.lists.len() - 1) as u32
+            }
+        };
+        self.slot[u] = i;
+        i as usize
+    }
+
+    /// Drop node `u`'s pair list, if it has one; returns whether it did.
+    fn close(&mut self, u: usize) -> bool {
+        let i = self.slot[u];
+        if i == NO_LIST {
+            return false;
+        }
+        self.lists[i as usize].clear();
+        self.free.push(i);
+        self.slot[u] = NO_LIST;
+        true
+    }
+
+    /// One forward sweep for `seeds.len() ≤ 64` ascending injection
+    /// sites sharing the symbol space `0..seeds.len()`. Returns the
+    /// per-seed raw threshold (before the safety division), `+∞` when
+    /// nothing in the cone constrains the site.
+    ///
+    /// Nothing before the first seed can carry a pair, so the sweep
+    /// starts at that seed's first in-edge; it stops once every seed
+    /// has been placed and no pair list is left.
     fn run(
         &mut self,
         ddg: &Ddg,
         slice: &InfluenceSlice,
-        sinks: &SinkIndex,
-        tolerance: f64,
+        tables: &SweepTables,
         seeds: &[usize],
     ) -> Vec<f64> {
-        debug_assert!(seeds.len() <= 64);
+        debug_assert!(!seeds.is_empty() && seeds.len() <= 64);
+        debug_assert!(seeds.windows(2).all(|w| w[0] < w[1]));
         let n = ddg.n_sites;
         let ne = ddg.defs.len();
+        let first = seeds[0];
+        let last = seeds[seeds.len() - 1];
         let mut t = vec![f64::INFINITY; seeds.len()];
-        let mut touched: Vec<usize> = Vec::new();
-        for (j, &s) in seeds.iter().enumerate() {
-            self.pairs[s].push((j as u32, 1.0, 0.0));
-            touched.push(s);
-        }
+        let mut next_seed = 0usize;
+        let mut n_open = 0usize;
+        let mut e = ddg.uses.partition_point(|&u| (u as usize) < first);
+        let mut ci = tables.caps.partition_point(|&(s, _)| (s as usize) < first);
+        let mut si = tables
+            .sinks
+            .partition_point(|&(s, _, _)| (s as usize) < first);
 
         // per-node scratch, keyed by symbol (≤ 64 ⇒ a bitmask index)
         let mut acc_c = [0.0f64; 64];
         let mut acc_k = [0.0f64; 64];
 
-        let mut e = 0usize;
-        for u in 0..n {
+        for u in first..n {
             let live = slice.reach[u];
             let mut seen: u64 = 0;
+            let e_in = e;
             while e < ne && ddg.uses[e] as usize == u {
                 let d = ddg.defs[e] as usize;
                 let amp = ddg.amps[e];
-                if live && amp > 0.0 && !self.pairs[d].is_empty() {
+                let sd = self.slot[d];
+                if live && amp > 0.0 && sd != NO_LIST {
                     let dc = dcoef_at(ddg, e);
-                    for &(sym, c, k) in &self.pairs[d] {
+                    for &(sym, c, k) in &self.lists[sd as usize] {
                         let (c2, k2) = transfer(amp, dc, c, k);
                         let i = sym as usize;
                         if seen >> i & 1 == 1 {
@@ -295,63 +363,84 @@ impl ThresholdSweep {
                         }
                     }
                 }
-                self.outdeg[d] -= 1;
-                if self.outdeg[d] == 0 {
-                    self.pairs[d] = Vec::new();
-                }
                 e += 1;
             }
-            if seen != 0 {
-                if self.pairs[u].is_empty() {
-                    touched.push(u);
+            let is_seed = next_seed < seeds.len() && seeds[next_seed] == u;
+            if seen != 0 || is_seed {
+                let li = self.open(u);
+                n_open += 1;
+                let pu = &mut self.lists[li];
+                if is_seed {
+                    pu.push((next_seed as u32, 1.0, 0.0));
+                    next_seed += 1;
                 }
-                let pu = &mut self.pairs[u];
                 let mut bits = seen;
                 while bits != 0 {
                     let i = bits.trailing_zeros() as usize;
                     pu.push((i as u32, acc_c[i], acc_k[i]));
                     bits &= bits - 1;
                 }
-            }
-            if self.pairs[u].is_empty() {
-                continue;
-            }
-            // constraints at u: curvature cap, then each sink reached
-            let cu = self.cap[u];
-            let outs = sinks.outs_at(u as u32);
-            let branches = sinks.branches_at(u as u32);
-            if cu.is_finite() || !outs.is_empty() || !branches.is_empty() {
-                for &(sym, c, k) in &self.pairs[u] {
-                    let m = mass(c, k);
-                    let tj = &mut t[sym as usize];
-                    if cu.is_finite() {
-                        *tj = tj.min(quot_down(cu, m));
-                    }
-                    for &(_, amp) in outs {
-                        if amp > 0.0 {
-                            *tj = tj.min(quot_down(tolerance, up(amp * m)));
+
+                // constraints at u: curvature cap, then each sink reached
+                while ci < tables.caps.len() && (tables.caps[ci].0 as usize) < u {
+                    ci += 1;
+                }
+                while si < tables.sinks.len() && (tables.sinks[si].0 as usize) < u {
+                    si += 1;
+                }
+                let cu = match tables.caps.get(ci) {
+                    Some(&(s, c)) if s as usize == u => c,
+                    _ => f64::INFINITY,
+                };
+                let s_end = si + tables.sinks[si..].partition_point(|&(s, _, _)| s as usize == u);
+                let sinks = &tables.sinks[si..s_end];
+                if cu.is_finite() || !sinks.is_empty() {
+                    for &(sym, c, k) in pu.iter() {
+                        let m = mass(c, k);
+                        let tj = &mut t[sym as usize];
+                        if cu.is_finite() {
+                            *tj = tj.min(quot_down(cu, m));
                         }
-                    }
-                    for &(_, amp, margin) in branches {
-                        if amp > 0.0 {
-                            *tj = if margin > 0.0 {
-                                tj.min(quot_down(margin, up(amp * m)))
-                            } else {
-                                0.0
-                            };
+                        for &(_, amp, limit) in sinks {
+                            *tj = tj.min(quot_down(limit, up(amp * m)));
                         }
                     }
                 }
             }
+
+            // drop every list whose last reader was u
+            for k in e_in..e {
+                let d = ddg.defs[k] as usize;
+                if tables.last_read[d] as usize == u && self.close(d) {
+                    n_open -= 1;
+                }
+            }
+            if tables.last_read[u] as usize == u && self.close(u) {
+                n_open -= 1;
+            }
+            if u >= last && n_open == 0 {
+                break;
+            }
         }
 
-        // reset for the next chunk
-        for s in touched {
-            self.pairs[s] = Vec::new();
-        }
-        self.outdeg.copy_from_slice(&self.outdeg0);
+        // every list is closed by its last reader, and the sweep stops
+        // early only with none open
+        debug_assert_eq!(n_open, 0);
         t
     }
+}
+
+/// Seed sites per threshold sweep: the noise-symbol budget, capped at
+/// the 64 symbols a sweep's bitmask scratch holds.
+fn chunk_width(cfg: &AffineConfig) -> usize {
+    cfg.budget.clamp(1, 64)
+}
+
+/// Workers [`affine_bound`] runs `n_swept` target sites on: the rayon
+/// worker count, capped by the number of seed chunks.
+pub fn affine_workers(n_swept: usize, cfg: &AffineConfig) -> usize {
+    let chunks = n_swept.div_ceil(chunk_width(cfg));
+    rayon::current_num_threads().clamp(1, chunks.max(1))
 }
 
 /// The affine-tightened static boundary: backward-pass thresholds,
@@ -391,23 +480,46 @@ pub fn affine_bound(
         }
     }
 
+    // ascending and duplicate-free: a chunk's sweep starts at its first
+    // seed, and a repeated site would take a second symbol slot
     let target_list: Vec<usize> = match targets {
-        Some(list) => list
-            .iter()
-            .copied()
-            .filter(|&s| s < n && slice.reach[s])
-            .collect(),
+        Some(list) => {
+            let mut list: Vec<usize> = list
+                .iter()
+                .copied()
+                .filter(|&s| s < n && slice.reach[s])
+                .collect();
+            list.sort_unstable();
+            list.dedup();
+            list
+        }
         None => (0..n).filter(|&s| slice.reach[s]).collect(),
     };
 
-    let chunk = cfg.budget.clamp(1, 64);
+    let chunks: Vec<&[usize]> = target_list.chunks(chunk_width(cfg)).collect();
     let mut n_tightened = 0usize;
-    if !target_list.is_empty() {
-        let sinks = SinkIndex::new(ddg);
-        let mut sweep = ThresholdSweep::new(ddg);
-        for seeds in target_list.chunks(chunk) {
-            let raw = sweep.run(ddg, &slice, &sinks, tolerance, seeds);
-            for (&s, &r) in seeds.iter().zip(&raw) {
+    if !chunks.is_empty() {
+        // A chunk's cost is the trace suffix after its first seed, so it
+        // falls with the chunk index: worker `w` takes chunks `w, w+W, …`
+        // rather than one contiguous block. No result depends on the
+        // schedule — a symbol's arithmetic reads only its own pairs.
+        let tables = SweepTables::new(ddg, tolerance);
+        let workers = affine_workers(target_list.len(), cfg);
+        let per_worker: Vec<Vec<Vec<f64>>> = (0..workers)
+            .into_par_iter()
+            .map(|w| {
+                let mut sweep = ThresholdSweep::new(n);
+                chunks
+                    .iter()
+                    .skip(w)
+                    .step_by(workers)
+                    .map(|seeds| sweep.run(ddg, &slice, &tables, seeds))
+                    .collect()
+            })
+            .collect();
+        for (i, seeds) in chunks.iter().enumerate() {
+            let raw = &per_worker[i % workers][i / workers];
+            for (&s, &r) in seeds.iter().zip(raw) {
                 let ta = if r.is_finite() {
                     (r / safety).next_down().max(0.0)
                 } else {
@@ -754,6 +866,23 @@ mod tests {
         let bw = backward_pass(&ddg, 1e-3, 1.0);
         assert_eq!(only_s1.thresholds[0], bw.thresholds[0]);
         assert_eq!(only_s1.n_swept, 1);
+    }
+
+    #[test]
+    fn duplicate_targets_are_swept_once() {
+        // a unit-copy chain s0 → … → s6, with s6 the output
+        let mut t = Tracer::golden(Precision::F64).with_ddg();
+        t.value(SID, 1.0);
+        for s in 0..6 {
+            t.dep(s, OpKind::Add);
+            t.value(SID, 1.0);
+        }
+        t.out_dep(6, 1.0);
+        let (_, ddg) = t.finish_golden_with_ddg(vec![1.0]);
+        let dup = affine_bound(&ddg, 1e-3, 1.0, &CFG, Some(&[5, 1, 5])).unwrap();
+        let once = affine_bound(&ddg, 1e-3, 1.0, &CFG, Some(&[1, 5])).unwrap();
+        assert_eq!(dup, once);
+        assert_eq!(dup.n_swept, 2);
     }
 
     #[test]

@@ -37,7 +37,9 @@ pub mod interval;
 pub mod mask;
 pub mod slice;
 
-pub use affine::{affine_bound, affine_forward, affine_section_amp, AffineBound, AffineConfig};
+pub use affine::{
+    affine_bound, affine_forward, affine_section_amp, affine_workers, AffineBound, AffineConfig,
+};
 pub use forward::{forward_pass, AbsIntError, ForwardConfig, ForwardIntervals};
 pub use interval::Interval;
 pub use mask::{safe_bit_masks, BitClass, BitMasks, MaskSource, SiteMask};

@@ -68,9 +68,9 @@ pub mod sample;
 pub mod staticbound;
 
 pub use absint::{
-    affine_bound, affine_forward, forward_pass, influence_slice, safe_bit_masks, AbsIntError,
-    AffineBound, AffineConfig, BitClass, BitMasks, ForwardConfig, ForwardIntervals, InfluenceSlice,
-    Interval, MaskSource,
+    affine_bound, affine_forward, affine_workers, forward_pass, influence_slice, safe_bit_masks,
+    AbsIntError, AffineBound, AffineConfig, BitClass, BitMasks, ForwardConfig, ForwardIntervals,
+    InfluenceSlice, Interval, MaskSource,
 };
 pub use adaptive::{
     adaptive_boundary, adaptive_boundary_with_prior, AdaptiveConfig, AdaptiveResult, AdaptiveState,
