@@ -1,6 +1,7 @@
-//! The extraction-path performance suite: exhaustive + adaptive
-//! campaigns over the instrumented kernels at pinned seeds and sizes,
-//! run through all three extraction paths, with a machine-readable
+//! The extraction-path performance suite: strided exhaustive
+//! extractions + adaptive campaigns over the instrumented kernels at
+//! pinned seeds and sizes, through both extraction paths, plus the
+//! outcome-only snapshot, batch and bit-prune legs, with a machine-readable
 //! report (the quick tier also characterizes serial-vs-parallel outcome
 //! distributions per workload and gates their TVD at exactly zero).
 //!
@@ -9,7 +10,7 @@
 //!
 //! `--quick` runs the tiny CI-smoke tier; the default full tier is what
 //! the committed `BENCH_ppopp21.json` reports. Exits nonzero if the
-//! three paths disagree on any outcome table — a throughput number from
+//! two paths disagree on any outcome table — a throughput number from
 //! a path that produces different results is meaningless.
 
 use ftb_bench::perf::{merge_tier, run_suite};

@@ -1,11 +1,12 @@
 //! Reproducible extraction-path performance suite (`bench_suite` binary).
 //!
 //! Measures the two propagation-extraction paths — buffered and
-//! streamed — against each other on exhaustive and adaptive
-//! campaigns at pinned seeds and sizes, and emits a machine-readable
-//! report (`BENCH_ppopp21.json`) so every PR has a throughput
-//! trajectory to answer to. The full tier runs Jacobi, GEMM and CG (the
-//! paper's scale on Jacobi); the quick tier covers every
+//! streamed — against each other on strided exhaustive extractions and
+//! adaptive campaigns at pinned seeds and sizes, times the outcome-only
+//! path campaigns run (snapshot, batch and bit-prune legs), and emits a
+//! machine-readable report (`BENCH_ppopp21.json`) so every PR has a
+//! throughput trajectory to answer to. The full tier runs Jacobi, GEMM
+//! and CG (the paper's scale on Jacobi); the quick tier covers every
 //! provenance-instrumented kernel — jacobi, gemm, cg, lu, fft, stencil,
 //! matvec, spmv — and additionally records each workload's
 //! serial-vs-parallel outcome-distribution delta (per-site
@@ -32,12 +33,13 @@
 //! experiments-per-second over the experiments actually run.
 
 use ftb_core::prelude::*;
-use ftb_inject::{ExhaustiveResult, ExtractionMode, DEFAULT_MAX_SNAPSHOTS};
+use ftb_inject::{ExhaustiveResult, Experiment, ExtractionMode, DEFAULT_MAX_SNAPSHOTS};
 use ftb_kernels::{
     CgConfig, CgStorage, FftConfig, GemmConfig, JacobiConfig, Kernel, KernelConfig, LuConfig,
     MatvecConfig, SpmvConfig, StencilConfig, SweepTweak,
 };
 use ftb_trace::{CompactGolden, Precision};
+use rayon::prelude::*;
 use serde::Serialize;
 use std::time::Instant;
 
@@ -438,10 +440,10 @@ pub fn run_bits(bw: &BitsWorkload) -> Option<BitsStats> {
         .collect();
 
     let t1 = Instant::now();
-    let unpruned = injector.run_batch(&unpruned_plan);
+    let unpruned = injector.run_many(&unpruned_plan);
     let unpruned_secs = t1.elapsed().as_secs_f64();
     let t2 = Instant::now();
-    let pruned = injector.run_batch(&pruned_plan);
+    let pruned = injector.run_many(&pruned_plan);
     let pruned_secs = t2.elapsed().as_secs_f64();
 
     let truth: std::collections::HashMap<(usize, u8), u8> = unpruned
@@ -1187,7 +1189,7 @@ pub struct SnapshotStats {
     pub store_mb: f64,
     /// Experiments executed by the snapshot-resumed campaign.
     pub exhaustive_experiments: u64,
-    /// Snapshot-resumed campaign wall seconds.
+    /// Snapshot-resumed campaign wall seconds per pass (best sample).
     pub exhaustive_secs: f64,
     /// Snapshot-resumed experiments per second.
     pub experiments_per_sec: f64,
@@ -1226,15 +1228,9 @@ fn run_snapshot_leg(
     let store_mb = analysis.injector().snapshot_store()?.store_bytes() as f64 / (1024.0 * 1024.0);
 
     let bits = kernel.precision().bits();
-    let mut table = None;
-    let mut exhaustive_secs = f64::INFINITY;
-    for _ in 0..w.timing_repeats.max(1) {
-        let t1 = Instant::now();
-        let t = strided_outcome_table(analysis.injector(), w.site_stride);
-        exhaustive_secs = exhaustive_secs.min(t1.elapsed().as_secs_f64());
-        table.get_or_insert(t);
-    }
-    let table = table.expect("at least one timing repeat");
+    let (table, exhaustive_secs) = time_best(w.timing_repeats, || {
+        strided_outcome_table(analysis.injector(), w.site_stride)
+    });
     let experiments = (analysis.n_sites().div_ceil(w.site_stride) * bits as usize) as u64;
     let eps = experiments as f64 / exhaustive_secs.max(1e-9);
     Some(SnapshotStats {
@@ -1269,7 +1265,7 @@ pub struct BatchStats {
     pub lanes: usize,
     /// Experiments executed by the batched campaign.
     pub exhaustive_experiments: u64,
-    /// Batched campaign wall seconds.
+    /// Batched campaign wall seconds per pass (best sample).
     pub exhaustive_secs: f64,
     /// Batched experiments per second.
     pub experiments_per_sec: f64,
@@ -1309,15 +1305,9 @@ fn run_batch_leg(
     );
 
     let bits = kernel.precision().bits();
-    let mut table = None;
-    let mut exhaustive_secs = f64::INFINITY;
-    for _ in 0..w.timing_repeats.max(1) {
-        let t1 = Instant::now();
-        let t = strided_outcome_table(analysis.injector(), w.site_stride);
-        exhaustive_secs = exhaustive_secs.min(t1.elapsed().as_secs_f64());
-        table.get_or_insert(t);
-    }
-    let table = table.expect("at least one timing repeat");
+    let (table, exhaustive_secs) = time_best(w.timing_repeats, || {
+        strided_outcome_table(analysis.injector(), w.site_stride)
+    });
     let experiments = (analysis.n_sites().div_ceil(w.site_stride) * bits as usize) as u64;
     let eps = experiments as f64 / exhaustive_secs.max(1e-9);
     Some(BatchStats {
@@ -1340,11 +1330,12 @@ pub struct PathStats {
     pub path: String,
     /// Site stride used (paper-scale workloads subsample).
     pub site_stride: usize,
-    /// Experiments executed by the exhaustive campaign.
+    /// Experiments in the strided exhaustive plan, each a propagation
+    /// extraction through this path.
     pub exhaustive_experiments: u64,
-    /// Exhaustive campaign wall time in seconds.
+    /// Wall seconds per pass over the plan (best sample).
     pub exhaustive_secs: f64,
-    /// Headline throughput: exhaustive experiments per second.
+    /// Headline throughput: extractions per second.
     pub experiments_per_sec: f64,
     /// Experiments executed by the adaptive campaign.
     pub adaptive_experiments: u64,
@@ -1412,19 +1403,9 @@ fn run_path(
     let analysis = Analysis::new(kernel, Classifier::new(w.tolerance)).with_extraction(mode);
     let bits = kernel.precision().bits();
 
-    let mut table = None;
-    let mut exhaustive_secs = f64::INFINITY;
-    for _ in 0..w.timing_repeats.max(1) {
-        let t0 = Instant::now();
-        let t = if stride == 1 {
-            analysis.exhaustive()
-        } else {
-            strided_exhaustive(analysis.injector(), stride)
-        };
-        exhaustive_secs = exhaustive_secs.min(t0.elapsed().as_secs_f64());
-        table.get_or_insert(t);
-    }
-    let table = table.expect("at least one timing repeat");
+    let (table, exhaustive_secs) = time_best(w.timing_repeats, || {
+        strided_extraction_table(analysis.injector(), stride)
+    });
     let exhaustive_experiments = (analysis.n_sites().div_ceil(stride) * bits as usize) as u64;
 
     let t1 = Instant::now();
@@ -1446,19 +1427,30 @@ fn run_path(
 }
 
 /// An exhaustive table over every `stride`-th site (full bit coverage),
-/// with skipped sites marked masked so the layout stays dense.
-fn strided_exhaustive(injector: &Injector<'_>, stride: usize) -> ExhaustiveResult {
-    let bits = injector.bits();
-    let experiments = injector.run_batch(&strided_plan(injector, stride));
-    let mut codes = vec![0u8; injector.n_sites() * bits as usize];
-    for e in &experiments {
-        codes[e.site * bits as usize + e.bit as usize] = e.outcome.code();
-    }
-    ExhaustiveResult {
-        n_sites: injector.n_sites(),
-        bits,
-        codes,
-    }
+/// built from propagation extractions through the injector's extraction
+/// path ([`Injector::extract_propagation`], the per-experiment cost of
+/// Algorithm 1's masked runs) — the one cost where the buffered and
+/// streamed paths differ.
+fn strided_extraction_table(injector: &Injector<'_>, stride: usize) -> ExhaustiveResult {
+    let experiments: Vec<Experiment> = strided_plan(injector, stride)
+        .par_iter()
+        .map(|f| {
+            injector
+                .extract_propagation(f.site, f.bit, |_, _| {})
+                .experiment
+        })
+        .collect();
+    dense_table(injector, &experiments)
+}
+
+/// The same strided table via the outcome-only path (`run_many`): no
+/// propagation extraction, just classification — what every
+/// outcome-only campaign runs.
+fn strided_outcome_table(injector: &Injector<'_>, stride: usize) -> ExhaustiveResult {
+    dense_table(
+        injector,
+        &injector.run_many(&strided_plan(injector, stride)),
+    )
 }
 
 /// Every bit of every `stride`-th site.
@@ -1470,14 +1462,12 @@ fn strided_plan(injector: &Injector<'_>, stride: usize) -> Vec<ftb_trace::FaultS
         .collect()
 }
 
-/// The same strided table via the outcome-only path (`run_many`): no
-/// propagation extraction, just classification — the snapshot leg's
-/// execution model, where the campaign's product is the outcome table.
-fn strided_outcome_table(injector: &Injector<'_>, stride: usize) -> ExhaustiveResult {
+/// A dense outcome table from strided experiments, with skipped sites
+/// marked masked so the layout stays dense.
+fn dense_table(injector: &Injector<'_>, experiments: &[Experiment]) -> ExhaustiveResult {
     let bits = injector.bits();
-    let experiments = injector.run_many(&strided_plan(injector, stride));
     let mut codes = vec![0u8; injector.n_sites() * bits as usize];
-    for e in &experiments {
+    for e in experiments {
         codes[e.site * bits as usize + e.bit as usize] = e.outcome.code();
     }
     ExhaustiveResult {
@@ -1485,6 +1475,36 @@ fn strided_outcome_table(injector: &Injector<'_>, stride: usize) -> ExhaustiveRe
         bits,
         codes,
     }
+}
+
+/// Shortest wall time a timed sample of a ratcheted leg runs for: a
+/// leg whose plan finishes in a few milliseconds is repeated within the
+/// sample until this much time has passed, so scheduler and timer noise
+/// stay small against the measurement.
+const MIN_SAMPLE_SECS: f64 = 0.1;
+
+/// Time `pass` best-of-`repeats`: each sample repeats `pass` until it
+/// has run for at least [`MIN_SAMPLE_SECS`], and scores the sample's
+/// wall time divided by its passes. Returns the first pass's result and
+/// the best per-pass seconds.
+fn time_best<T>(repeats: usize, mut pass: impl FnMut() -> T) -> (T, f64) {
+    let mut first = None;
+    let mut best = f64::INFINITY;
+    for _ in 0..repeats.max(1) {
+        let t0 = Instant::now();
+        let mut passes = 0u32;
+        let elapsed = loop {
+            let out = pass();
+            first.get_or_insert(out);
+            passes += 1;
+            let elapsed = t0.elapsed().as_secs_f64();
+            if elapsed >= MIN_SAMPLE_SECS {
+                break elapsed;
+            }
+        };
+        best = best.min(elapsed / f64::from(passes));
+    }
+    (first.expect("at least one timed pass"), best)
 }
 
 /// Run one workload through both extraction paths and check that

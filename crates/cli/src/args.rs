@@ -73,9 +73,11 @@ ANALYSIS OPTIONS:
     --rate R               sampling rate for analyze (0.01)
     --samples N            experiment count for campaign (1000)
     --filter MODE          off | per-site | global (per-site)
-    --extraction MODE      propagation-extraction path: buffered |
-                           streamed (streamed). Both paths produce
-                           identical results.
+    --extraction MODE      how Algorithm-1 propagation folds are
+                           extracted (analyze, adaptive inference,
+                           analyze compose): buffered | streamed
+                           (streamed). Both produce identical results;
+                           outcome-only campaigns do not extract.
     --safety F             analyze static: divide analytical thresholds
                            by F >= 1 as a rounding margin (1.0)
     --no-validate          analyze static/bits: skip the exhaustive
@@ -152,7 +154,9 @@ pub struct Args {
     pub samples: u64,
     /// Filter mode string (validated in the command layer).
     pub filter: String,
-    /// Propagation-extraction path for campaigns and inference.
+    /// How Algorithm-1 propagation folds are extracted (`analyze`,
+    /// adaptive inference, `analyze compose`); outcome-only campaigns do
+    /// not extract.
     pub extraction: ExtractionMode,
     /// Seed.
     pub seed: u64,

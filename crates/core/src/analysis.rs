@@ -38,10 +38,11 @@ impl<'k> Analysis<'k> {
         Analysis { injector }
     }
 
-    /// Select the propagation-extraction path for every campaign and
-    /// inference this session runs (default
-    /// [`ExtractionMode::Streamed`]). Results are identical across
-    /// modes; this is a pure performance/memory choice.
+    /// Select how this session's inference extracts the propagation
+    /// folds of its masked runs (default [`ExtractionMode::Streamed`]).
+    /// Results are identical across modes; this is a pure
+    /// performance/memory choice, and outcome-only campaigns never
+    /// extract.
     pub fn with_extraction(mut self, mode: ExtractionMode) -> Self {
         self.injector = self.injector.with_extraction(mode);
         self

@@ -12,11 +12,11 @@ use crate::experiment::Experiment;
 use crate::extraction::ExtractionMode;
 use crate::ledger::BatchBinding;
 use crate::outcome::{Classifier, Outcome};
-use crate::snapshot::{Snapshot, SnapshotStore};
+use crate::snapshot::SnapshotStore;
 use ftb_kernels::Kernel;
 use ftb_trace::{
     propagation, CompactGolden, CompareScratch, FaultSpec, Fnv1a, GoldenRun, Propagation,
-    RecordMode, RunTrace, Tracer,
+    RecordMode, Tracer,
 };
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -41,9 +41,9 @@ pub struct Injector<'k> {
     compact: CompactGolden,
     classifier: Classifier,
     extraction: ExtractionMode,
-    /// Golden-run boundary snapshots; when present, outcome and
-    /// propagation experiments resume from the latest snapshot preceding
-    /// their fault site instead of re-executing from `t = 0`.
+    /// Golden-run boundary snapshots; when present, outcome-only
+    /// experiments resume from the latest snapshot preceding their fault
+    /// site instead of re-executing from `t = 0`.
     snapshots: Option<SnapshotStore>,
     /// Allow contraction-certificate early exits
     /// ([`Kernel::masked_exit_bound`]) on snapshot-resumed runs. Off by
@@ -90,11 +90,11 @@ impl<'k> Injector<'k> {
     }
 
     /// Capture golden-run boundary snapshots (at most `max_snapshots`,
-    /// evenly thinned) and serve every subsequent experiment from the
-    /// snapshot immediately preceding its fault site. A no-op when the
-    /// kernel is not snapshot-capable. Results stay bit-identical to
-    /// from-scratch execution in every extraction mode — the skipped
-    /// prefix is replayed from recorded golden state, not recomputed.
+    /// evenly thinned) and serve every subsequent outcome-only experiment
+    /// from the snapshot immediately preceding its fault site. A no-op
+    /// when the kernel is not snapshot-capable. Results stay
+    /// bit-identical to from-scratch execution — the skipped prefix is
+    /// replayed from recorded golden state, not recomputed.
     pub fn with_snapshots(mut self, max_snapshots: usize) -> Self {
         self.snapshots = SnapshotStore::capture(self.kernel, &self.golden, max_snapshots);
         self
@@ -135,11 +135,10 @@ impl<'k> Injector<'k> {
     ///
     /// Effective only where batching applies — the kernel must be
     /// batch-capable, snapshots must be captured
-    /// ([`Injector::with_snapshots`]), and only the outcome-only
-    /// ([`Injector::run_many`]) and streamed-extraction
-    /// ([`Injector::run_batch`] under [`ExtractionMode::Streamed`])
-    /// paths batch; everything else silently stays scalar. `lanes = 1`
-    /// disables batching.
+    /// ([`Injector::with_snapshots`]), and only the outcome-only path
+    /// ([`Injector::run_many`], [`Injector::exhaustive`]) batches;
+    /// everything else silently stays scalar. `lanes = 1` disables
+    /// batching.
     ///
     /// # Panics
     /// Panics if `lanes` is zero.
@@ -156,7 +155,7 @@ impl<'k> Injector<'k> {
 
     /// The batch engine, if batching applies to this injector at all
     /// (`lanes ≥ 2`, batch-capable kernel, captured snapshots).
-    fn batch_engine(&self, compare: bool) -> Option<BatchEngine<'_>> {
+    fn batch_engine(&self) -> Option<BatchEngine<'_>> {
         if self.batch_lanes < 2 || !self.kernel.batch_capable() {
             return None;
         }
@@ -164,7 +163,6 @@ impl<'k> Injector<'k> {
         Some(BatchEngine {
             kernel: self.kernel,
             golden: &self.golden,
-            compact: compare.then_some(&self.compact),
             classifier: &self.classifier,
             store,
             certified_exits: self.certified_exits,
@@ -178,7 +176,7 @@ impl<'k> Injector<'k> {
     /// lanes are grouped by. `None` on scalar-executing injectors, so
     /// pre-existing ledgers keep matching.
     pub fn batch_binding(&self) -> Option<BatchBinding> {
-        let engine = self.batch_engine(false)?;
+        let engine = self.batch_engine()?;
         let mut h = Fnv1a::new();
         h.write_u64(BATCH_BINDING_TAG);
         h.write_u64(self.batch_lanes as u64);
@@ -190,22 +188,20 @@ impl<'k> Injector<'k> {
     }
 
     /// Run a plan through the batch engine: snapshot-served faults in
-    /// lane chunks, the from-scratch leftovers through `scalar`, results
-    /// scattered back into input order (so ledgers are byte-identical to
-    /// scalar execution).
-    fn run_plan_batched(
-        &self,
-        engine: &BatchEngine<'_>,
-        faults: &[FaultSpec],
-        scalar: impl Fn(FaultSpec) -> Experiment + Sync,
-    ) -> Vec<Experiment> {
+    /// lane chunks, the from-scratch leftovers through
+    /// [`Injector::run_one`], results scattered back into input order (so
+    /// ledgers are byte-identical to scalar execution).
+    fn run_plan_batched(&self, engine: &BatchEngine<'_>, faults: &[FaultSpec]) -> Vec<Experiment> {
         for f in faults {
             assert!(f.site < self.n_sites(), "site {} out of range", f.site);
         }
         let (chunks, scalars) = engine.plan(faults);
         let batched: Vec<Vec<Experiment>> =
             chunks.par_iter().map(|c| engine.run_chunk(c)).collect();
-        let loose: Vec<Experiment> = scalars.par_iter().map(|&i| scalar(faults[i])).collect();
+        let loose: Vec<Experiment> = scalars
+            .par_iter()
+            .map(|&i| self.run_one(faults[i].site, faults[i].bit))
+            .collect();
         let mut out: Vec<Option<Experiment>> = vec![None; faults.len()];
         for (chunk, exps) in chunks.iter().zip(&batched) {
             for (&i, e) in chunk.idxs.iter().zip(exps) {
@@ -240,17 +236,11 @@ impl<'k> Injector<'k> {
         (bound.is_finite() && bound <= budget).then_some(bound)
     }
 
-    /// The serving snapshot for a fault, if resumed execution applies:
-    /// the store must exist and hold a boundary at or before the site.
-    fn resume_for(&self, fault: FaultSpec) -> Option<(&SnapshotStore, &Snapshot)> {
-        let store = self.snapshots.as_ref()?;
-        let (_, snap) = store.for_site(fault.site)?;
-        Some((store, snap))
-    }
-
-    /// Select the propagation-extraction path (default
-    /// [`ExtractionMode::Streamed`]). All modes produce identical
-    /// results; this is a pure performance/memory choice.
+    /// Select how [`Injector::extract_propagation`] folds a run's
+    /// propagation window (default [`ExtractionMode::Streamed`]). All
+    /// modes produce identical results; this is a pure performance/memory
+    /// choice, and outcome-only execution ([`Injector::run_many`]) never
+    /// extracts at all.
     pub fn with_extraction(mut self, mode: ExtractionMode) -> Self {
         self.extraction = mode;
         self
@@ -323,7 +313,8 @@ impl<'k> Injector<'k> {
     /// ([`Injector::with_certified_exits`]). `None` when no snapshot
     /// serves the site.
     fn try_run_one_resumed(&self, fault: FaultSpec) -> Option<Experiment> {
-        let (store, snap) = self.resume_for(fault)?;
+        let store = self.snapshots.as_ref()?;
+        let (_, snap) = store.for_site(fault.site)?;
         let state = store.state(snap);
         let mut t = Tracer::inject(self.kernel.precision(), fault, RecordMode::OutputOnly)
             .resume_at(snap.cursor, snap.branch_count);
@@ -342,18 +333,9 @@ impl<'k> Injector<'k> {
                 exit.is_some()
             });
         let run = t.finish(out);
-        Some(self.classify_resumed(fault, &run, exit))
-    }
-
-    /// Classify a resumed run: either via the normal classifier (the run
-    /// completed, so output/instruction-count/nonfinite state are exactly
-    /// the from-scratch ones), or by early-exit synthesis.
-    fn classify_resumed(
-        &self,
-        fault: FaultSpec,
-        run: &RunTrace,
-        exit: Option<EarlyExit>,
-    ) -> Experiment {
+        // a run that completed classifies normally (its output,
+        // instruction count and non-finite state are exactly the
+        // from-scratch ones); an early exit synthesises its outcome
         let (outcome, output_err) = match exit {
             Some(early) => {
                 // kernels stop before the boundary callback when a traced
@@ -364,15 +346,15 @@ impl<'k> Injector<'k> {
                     EarlyExit::Certified(bound) => (Outcome::Masked, bound),
                 }
             }
-            None => self.classifier.classify(&self.golden, run),
+            None => self.classifier.classify(&self.golden, &run),
         };
-        Experiment {
+        Some(Experiment {
             site: fault.site,
             bit: fault.bit,
             injected_err: run.injected_err.unwrap_or(0.0),
             output_err,
             outcome,
-        }
+        })
     }
 
     /// Run one experiment with full tracing and extract its propagation
@@ -397,55 +379,38 @@ impl<'k> Injector<'k> {
     }
 
     /// Run one experiment through the streamed (one-sided comparing)
-    /// path, folding the nonzero window deltas into `fold` when given.
-    /// When the golden trace is branch-free (no possible late
-    /// divergence), the fold runs *online* through a delta sink with zero
-    /// scratch retention — the deltas of a slowly-decaying perturbation
-    /// never materialise in memory.
+    /// path, folding the nonzero window deltas into `fold`. When the
+    /// golden trace is branch-free (no possible late divergence), the
+    /// fold runs *online* through a delta sink with zero scratch
+    /// retention — the deltas of a slowly-decaying perturbation never
+    /// materialise in memory.
     fn run_one_streamed(
         &self,
         fault: FaultSpec,
-        mut fold: Option<&mut dyn FnMut(usize, f64)>,
+        fold: &mut dyn FnMut(usize, f64),
     ) -> (Experiment, ftb_trace::StreamedWindow) {
         SCRATCH.with(|cell| {
             let mut scratch = cell.borrow_mut();
-            let online = self.compact.n_branches() == 0;
-            let (run, window) = if online {
-                match fold.take() {
-                    // branch-free + caller fold: block-batched online
-                    // sink, zero scratch retention
-                    Some(f) => {
-                        let mut batched = |block: &[(usize, f64)]| {
-                            for &(site, d) in block {
-                                f(site, d);
-                            }
-                        };
-                        let mut t = Tracer::comparing(fault, &self.compact, &mut scratch)
-                            .with_delta_sink(&mut batched);
-                        let out = self.kernel.run(&mut t);
-                        t.finish_compare(out)
+            let (run, window) = if self.compact.n_branches() == 0 {
+                let mut batched = |block: &[(usize, f64)]| {
+                    for &(site, d) in block {
+                        fold(site, d);
                     }
-                    // branch-free + no fold (the exhaustive-campaign hot
-                    // path): only the window summary is accumulated —
-                    // no delta is materialised or emitted at all
-                    None => {
-                        let mut t =
-                            Tracer::comparing(fault, &self.compact, &mut scratch).summary_only();
-                        let out = self.kernel.run(&mut t);
-                        t.finish_compare(out)
-                    }
-                }
+                };
+                let mut t = Tracer::comparing(fault, &self.compact, &mut scratch)
+                    .with_delta_sink(&mut batched);
+                let out = self.kernel.run(&mut t);
+                t.finish_compare(out)
             } else {
                 let mut t = Tracer::comparing(fault, &self.compact, &mut scratch);
                 let out = self.kernel.run(&mut t);
-                t.finish_compare(out)
+                let sealed = t.finish_compare(out);
+                for &(site, d) in scratch.deltas() {
+                    fold(site, d);
+                }
+                sealed
             };
             let (outcome, output_err) = self.classifier.classify(&self.golden, &run);
-            if let Some(f) = fold {
-                for &(site, d) in scratch.deltas() {
-                    f(site, d);
-                }
-            }
             (
                 Experiment {
                     site: fault.site,
@@ -457,102 +422,6 @@ impl<'k> Injector<'k> {
                 window,
             )
         })
-    }
-
-    /// Streamed experiment resumed from the snapshot preceding its fault
-    /// site, with the same boundary early exits as
-    /// [`Injector::try_run_one_resumed`]. The comparing tracer skips
-    /// nothing semantically: dynamic instructions before the fault site
-    /// are never compared on the from-scratch path either, and the
-    /// preset branch index keeps divergence detection aligned with the
-    /// golden branch stream.
-    fn try_run_one_streamed_resumed(&self, fault: FaultSpec) -> Option<Experiment> {
-        let (store, snap) = self.resume_for(fault)?;
-        let state = store.state(snap);
-        SCRATCH.with(|cell| {
-            let mut scratch = cell.borrow_mut();
-            let mut exit = None;
-            let (run, _window) = {
-                let mut t = Tracer::comparing(fault, &self.compact, &mut scratch);
-                if self.compact.n_branches() == 0 {
-                    t = t.summary_only();
-                }
-                let mut t = t.resume_at(snap.cursor, snap.branch_count);
-                let out = self
-                    .kernel
-                    .run_resumed(&mut t, &state, &mut |cursor, step, arrays| {
-                        if cursor <= fault.site {
-                            return false;
-                        }
-                        if store.state_matches(cursor, arrays) {
-                            exit = Some(EarlyExit::Bitwise);
-                        } else if let Some(b) = self.certified_exit(store, cursor, step, arrays) {
-                            exit = Some(EarlyExit::Certified(b));
-                        }
-                        exit.is_some()
-                    });
-                t.finish_compare(out)
-            };
-            Some(self.classify_resumed(fault, &run, exit))
-        })
-    }
-
-    /// Buffered experiment resumed from the snapshot preceding its fault
-    /// site. The buffered contract includes a full propagation record, so
-    /// there is no early exit; instead the recorded suffix is stitched
-    /// onto the golden prefix — which the skipped execution would have
-    /// reproduced bit-for-bit — before the comparison.
-    fn try_run_one_buffered_resumed(&self, fault: FaultSpec) -> Option<(Experiment, Propagation)> {
-        let (store, snap) = self.resume_for(fault)?;
-        let state = store.state(snap);
-        let mut t = Tracer::inject(self.kernel.precision(), fault, RecordMode::Full)
-            .resume_at(snap.cursor, snap.branch_count);
-        let out = self
-            .kernel
-            .run_resumed(&mut t, &state, &mut |_, _, _| false);
-        let run = t.finish(out);
-
-        let mut values = self.golden.values[..snap.cursor].to_vec();
-        values.extend_from_slice(run.values.as_deref().unwrap_or(&[]));
-        let mut branches = self.golden.branches[..snap.branch_count].to_vec();
-        branches.extend_from_slice(run.branches.as_deref().unwrap_or(&[]));
-        let stitched = RunTrace {
-            values: Some(values),
-            branches: Some(branches),
-            ..run
-        };
-        let (outcome, output_err) = self.classifier.classify(&self.golden, &stitched);
-        let prop = propagation(&self.golden, &stitched);
-        Some((
-            Experiment {
-                site: fault.site,
-                bit: fault.bit,
-                injected_err: stitched.injected_err.unwrap_or(0.0),
-                output_err,
-                outcome,
-            },
-            prop,
-        ))
-    }
-
-    /// Run one propagation-extracting experiment via the configured
-    /// extraction path, discarding the propagation fold.
-    fn run_one_via(&self, fault: FaultSpec) -> Experiment {
-        assert!(
-            fault.site < self.n_sites(),
-            "site {} out of range",
-            fault.site
-        );
-        match self.extraction {
-            ExtractionMode::Buffered => match self.try_run_one_buffered_resumed(fault) {
-                Some((e, _)) => e,
-                None => self.run_one_traced(fault.site, fault.bit).0,
-            },
-            ExtractionMode::Streamed => match self.try_run_one_streamed_resumed(fault) {
-                Some(e) => e,
-                None => self.run_one_streamed(fault, None).0,
-            },
-        }
     }
 
     /// Run one experiment and fold its propagation window (`(site, Δx)`
@@ -584,7 +453,7 @@ impl<'k> Injector<'k> {
             }
             ExtractionMode::Streamed => {
                 let (experiment, window) =
-                    self.run_one_streamed(FaultSpec { site, bit }, Some(&mut fold));
+                    self.run_one_streamed(FaultSpec { site, bit }, &mut fold);
                 ExtractionSummary {
                     experiment,
                     compare_len: window.compare_len,
@@ -597,13 +466,14 @@ impl<'k> Injector<'k> {
 
     /// Run a batch of experiments in parallel. Results are returned in
     /// input order. Outcome-only: no propagation extraction regardless of
-    /// the configured mode (the fast path for samplers and Monte-Carlo).
-    /// With batching configured ([`Injector::with_batch_lanes`]),
-    /// snapshot-served faults run as lane-batched sweeps without the
-    /// comparator; leftovers run scalar from scratch.
+    /// the configured mode — every campaign that keeps only experiment
+    /// records (samplers, Monte-Carlo, ledger campaigns, ground truths)
+    /// runs here. With batching configured
+    /// ([`Injector::with_batch_lanes`]), snapshot-served faults run as
+    /// lane-batched sweeps; leftovers run scalar from scratch.
     pub fn run_many(&self, faults: &[FaultSpec]) -> Vec<Experiment> {
-        if let Some(engine) = self.batch_engine(false) {
-            return self.run_plan_batched(&engine, faults, |f| self.run_one(f.site, f.bit));
+        if let Some(engine) = self.batch_engine() {
+            return self.run_plan_batched(&engine, faults);
         }
         faults
             .par_iter()
@@ -611,68 +481,32 @@ impl<'k> Injector<'k> {
             .collect()
     }
 
-    /// Run a batch of propagation-extracting experiments in parallel via
-    /// the configured extraction path, in input order. This is what
-    /// ledger campaigns execute: every experiment pays the extraction
-    /// cost of its path, which is exactly what the benchmark suite's
-    /// per-path throughput numbers compare.
-    ///
-    /// With batching configured ([`Injector::with_batch_lanes`]) and the
-    /// streamed extraction mode, snapshot-served faults run as
-    /// lane-batched sweeps with the amortised golden comparator (a
-    /// streamed-resumed experiment record carries no propagation fold,
-    /// so the batched records are bit-identical). The buffered mode
-    /// stays scalar — its contract includes a per-run trace record a
-    /// shared-cursor sweep cannot synthesise.
-    pub fn run_batch(&self, faults: &[FaultSpec]) -> Vec<Experiment> {
-        if matches!(self.extraction, ExtractionMode::Streamed) {
-            if let Some(engine) = self.batch_engine(true) {
-                return self.run_plan_batched(&engine, faults, |f| self.run_one_via(f));
-            }
-        }
-        faults.par_iter().map(|f| self.run_one_via(*f)).collect()
-    }
-
     /// The exhaustive ground-truth campaign: every bit of every site
-    /// (`n_sites × bits` kernel executions), parallel over sites, via the
-    /// configured extraction path (batched under the same conditions as
-    /// [`Injector::run_batch`], which the bit-at-a-time site-major plan
-    /// suits perfectly — each site's 32/64 bit flips share a snapshot).
-    pub fn run_exhaustive(&self) -> ExhaustiveResult {
+    /// (`n_sites × bits` outcome-only kernel executions), parallel over
+    /// sites — batched through [`Injector::run_many`] when batching
+    /// applies, which the bit-at-a-time site-major plan suits perfectly
+    /// (each site's 32/64 bit flips share a snapshot).
+    pub fn exhaustive(&self) -> ExhaustiveResult {
         let bits = self.bits();
         let n = self.n_sites();
-        if matches!(self.extraction, ExtractionMode::Streamed) && self.batch_engine(true).is_some()
-        {
-            let plan: Vec<FaultSpec> = (0..n)
-                .flat_map(|site| (0..bits).map(move |bit| FaultSpec { site, bit }))
-                .collect();
-            let codes = self
-                .run_batch(&plan)
+        let codes: Vec<u8> = if self.batch_engine().is_some() {
+            self.run_many(&crate::runner::exhaustive_plan(n, bits))
                 .iter()
                 .map(|e| e.outcome.code())
-                .collect();
-            return ExhaustiveResult {
-                n_sites: n,
-                bits,
-                codes,
-            };
-        }
-        let codes: Vec<u8> = (0..n)
-            .into_par_iter()
-            .flat_map_iter(|site| {
-                (0..bits).map(move |bit| self.run_one_via(FaultSpec { site, bit }).outcome.code())
-            })
-            .collect();
+                .collect()
+        } else {
+            (0..n)
+                .into_par_iter()
+                .flat_map_iter(|site| {
+                    (0..bits).map(move |bit| self.run_one(site, bit).outcome.code())
+                })
+                .collect()
+        };
         ExhaustiveResult {
             n_sites: n,
             bits,
             codes,
         }
-    }
-
-    /// Alias for [`Injector::run_exhaustive`] (the historical name).
-    pub fn exhaustive(&self) -> ExhaustiveResult {
-        self.run_exhaustive()
     }
 }
 
@@ -868,25 +702,6 @@ mod tests {
     }
 
     #[test]
-    fn run_batch_is_identical_across_extraction_modes() {
-        use crate::extraction::ExtractionMode;
-        let k = tiny_kernel();
-        let faults: Vec<FaultSpec> = (0..12)
-            .map(|i| FaultSpec {
-                site: i,
-                bit: (i * 7 % 64) as u8,
-            })
-            .collect();
-        let buffered = injector(&k)
-            .with_extraction(ExtractionMode::Buffered)
-            .run_batch(&faults);
-        let streamed = injector(&k)
-            .with_extraction(ExtractionMode::Streamed)
-            .run_batch(&faults);
-        assert_eq!(buffered, streamed);
-    }
-
-    #[test]
     fn extract_propagation_folds_identically_across_modes() {
         use crate::extraction::ExtractionMode;
         let k = tiny_kernel();
@@ -929,21 +744,21 @@ mod tests {
                 bit: (i * 11 % 64) as u8,
             })
             .collect();
+        let resumed = Injector::new(&k, Classifier::new(1e-6)).with_snapshots(usize::MAX);
+        assert!(resumed.snapshot_store().is_some());
+        let got = resumed.run_many(&faults);
+        assert_eq!(
+            Injector::new(&k, Classifier::new(1e-6)).run_many(&faults),
+            got
+        );
+        // ...and equal to the from-scratch extraction of every mode
         for mode in [ExtractionMode::Buffered, ExtractionMode::Streamed] {
-            let scratch = Injector::new(&k, Classifier::new(1e-6))
-                .with_extraction(mode)
-                .run_batch(&faults);
-            let inj = Injector::new(&k, Classifier::new(1e-6))
-                .with_extraction(mode)
-                .with_snapshots(usize::MAX);
-            assert!(inj.snapshot_store().is_some());
-            assert_eq!(scratch, inj.run_batch(&faults), "{mode:?} diverged");
-            // the outcome-only path resumes too
-            assert_eq!(
-                Injector::new(&k, Classifier::new(1e-6)).run_many(&faults),
-                inj.run_many(&faults),
-                "outcome-only path diverged"
-            );
+            let inj = Injector::new(&k, Classifier::new(1e-6)).with_extraction(mode);
+            let extracted: Vec<Experiment> = faults
+                .iter()
+                .map(|f| inj.extract_propagation(f.site, f.bit, |_, _| {}).experiment)
+                .collect();
+            assert_eq!(extracted, got, "{mode:?} diverged");
         }
     }
 
@@ -961,11 +776,11 @@ mod tests {
                 bit: (i * 13 % 64) as u8,
             })
             .collect();
-        let scratch = Injector::new(&k, Classifier::new(1e-6)).run_batch(&faults);
+        let scratch = Injector::new(&k, Classifier::new(1e-6)).run_many(&faults);
         let inj = Injector::new(&k, Classifier::new(1e-6))
             .with_snapshots(usize::MAX)
             .with_certified_exits();
-        let certified = inj.run_batch(&faults);
+        let certified = inj.run_many(&faults);
         // the certified contract: outcome codes identical to from-scratch,
         // and a certificate-exited experiment reports a bound ≤ tolerance
         for (s, c) in scratch.iter().zip(&certified) {
@@ -984,11 +799,6 @@ mod tests {
                 .any(|(s, c)| s.output_err != c.output_err),
             "no certificate exit fired — the fast path is dead"
         );
-        // the outcome-only path agrees
-        let fast = inj.run_many(&faults);
-        for (f, c) in fast.iter().zip(&certified) {
-            assert_eq!(f.outcome, c.outcome);
-        }
     }
 
     #[test]
@@ -1030,19 +840,14 @@ mod tests {
             assert_eq!(
                 keys(scalar.run_many(&faults)),
                 keys(batched.run_many(&faults)),
-                "outcome-only path, {lanes} lanes"
-            );
-            assert_eq!(
-                keys(scalar.run_batch(&faults)),
-                keys(batched.run_batch(&faults)),
-                "streamed path, {lanes} lanes"
+                "{lanes} lanes"
             );
         }
         // certified exits retire lanes mid-sweep; records still match the
         // scalar certified path exactly
         assert_eq!(
-            keys(build(1, true).run_batch(&faults)),
-            keys(build(8, true).run_batch(&faults)),
+            keys(build(1, true).run_many(&faults)),
+            keys(build(8, true).run_many(&faults)),
             "certified path"
         );
     }

@@ -1,4 +1,5 @@
-//! Extraction-path selection for propagation-extracting campaigns.
+//! Extraction-path selection for propagation extraction (Algorithm 1's
+//! masked runs; outcome-only campaigns never extract).
 //!
 //! The paper's §5 identifies the cost of propagation extraction as the
 //! limit on campaign scale: either `8 bytes × dynamic instructions` of
@@ -21,8 +22,9 @@
 //! and error magnitudes (proven by
 //! `tests/tests/extraction_equivalence.rs`), so the mode is a pure
 //! performance choice and is deliberately **not** part of the campaign
-//! ledger binding: ledgers written under different modes are
-//! byte-identical and freely resumable across modes.
+//! ledger binding: ledger campaigns never extract, so ledgers written
+//! under different modes are byte-identical and freely resumable
+//! across modes.
 
 use std::fmt;
 

@@ -16,7 +16,8 @@
 //! * [`Injector::exhaustive`] — every bit of every dynamic instruction
 //!   (the ground truth of the paper's §4.1, Rayon-parallel over sites);
 //! * [`Injector::run_many`] — an arbitrary experiment list in parallel
-//!   (used by the boundary samplers);
+//!   (used by the boundary samplers and every chunk of a
+//!   [`ChunkedCampaign`]);
 //! * [`monte_carlo()`] — the uniform statistical-fault-injection baseline
 //!   (Leveugle et al., reference 18 of the paper) that reports an overall SDC
 //!   ratio with a binomial confidence interval;
@@ -24,9 +25,11 @@
 //!   a crash-safe streaming [`ledger`], live [`obs`] metrics, and
 //!   kill-and-resume recovery.
 //!
-//! Propagation-extracting campaigns select one of two equivalent
-//! [`ExtractionMode`] paths (buffered, streamed — see [`extraction`]);
-//! `streamed` is the default and fastest.
+//! All of these are outcome-only: a run is classified from its output
+//! and nothing else is recorded. Only Algorithm 1's masked runs extract
+//! propagation ([`Injector::extract_propagation`]), through one of two
+//! equivalent [`ExtractionMode`] paths (buffered, streamed — see
+//! [`extraction`]); `streamed` is the default and fastest.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

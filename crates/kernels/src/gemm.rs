@@ -157,7 +157,7 @@ impl Kernel for GemmKernel {
     /// so trapped lanes run to completion exactly as scalar runs do.
     fn run_batch_resumed(
         &self,
-        bt: &mut BatchTracer<'_>,
+        bt: &mut BatchTracer,
         state: &KernelState,
         monitor: BatchBoundary<'_>,
     ) -> Vec<f64> {

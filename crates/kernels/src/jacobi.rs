@@ -288,7 +288,7 @@ impl JacobiKernel {
     #[inline(always)]
     fn batch_sweeps(
         &self,
-        bt: &mut BatchTracer<'_>,
+        bt: &mut BatchTracer,
         state: &KernelState,
         monitor: BatchBoundary<'_>,
     ) -> Vec<f64> {
@@ -334,7 +334,7 @@ impl JacobiKernel {
     // site below does); the body itself is safe Rust.
     unsafe fn batch_sweeps_avx2(
         &self,
-        bt: &mut BatchTracer<'_>,
+        bt: &mut BatchTracer,
         state: &KernelState,
         monitor: BatchBoundary<'_>,
     ) -> Vec<f64> {
@@ -353,7 +353,7 @@ impl JacobiKernel {
     #[allow(clippy::too_many_arguments)]
     fn batch_span<const L: usize>(
         &self,
-        bt: &mut BatchTracer<'_>,
+        bt: &mut BatchTracer,
         x: &mut Vec<f64>,
         next: &mut Vec<f64>,
         ax: &mut Vec<f64>,
@@ -461,7 +461,7 @@ impl JacobiKernel {
     fn batch_span_dyn(
         &self,
         lanes: usize,
-        bt: &mut BatchTracer<'_>,
+        bt: &mut BatchTracer,
         x: &mut Vec<f64>,
         next: &mut Vec<f64>,
         ax: &mut Vec<f64>,
@@ -721,7 +721,7 @@ impl Kernel for JacobiKernel {
     /// element-wise ops), so outputs stay bit-identical across hosts.
     fn run_batch_resumed(
         &self,
-        bt: &mut BatchTracer<'_>,
+        bt: &mut BatchTracer,
         state: &KernelState,
         monitor: BatchBoundary<'_>,
     ) -> Vec<f64> {

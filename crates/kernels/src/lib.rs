@@ -101,7 +101,7 @@ pub type BoundaryMonitor<'a> = &'a mut dyn FnMut(usize, u64, &[&[f64]]) -> bool;
 /// their scalar loop does. Returns `true` to stop the run (no live
 /// lanes remain).
 pub type BatchBoundary<'a> =
-    &'a mut dyn FnMut(&mut BatchTracer<'_>, u64, bool, &mut [&mut Vec<f64>]) -> bool;
+    &'a mut dyn FnMut(&mut BatchTracer, u64, bool, &mut [&mut Vec<f64>]) -> bool;
 
 /// A fault-injectable computational kernel.
 ///
@@ -218,7 +218,7 @@ pub trait Kernel: Send + Sync {
     /// [`Kernel::batch_capable`] implement this.
     fn run_batch_resumed(
         &self,
-        _bt: &mut BatchTracer<'_>,
+        _bt: &mut BatchTracer,
         _state: &KernelState,
         _monitor: BatchBoundary<'_>,
     ) -> Vec<f64> {

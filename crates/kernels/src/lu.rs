@@ -276,7 +276,7 @@ impl Kernel for LuKernel {
     /// scalar loop breaks on `Tracer::trapped` at every block bottom.
     fn run_batch_resumed(
         &self,
-        bt: &mut BatchTracer<'_>,
+        bt: &mut BatchTracer,
         state: &KernelState,
         monitor: BatchBoundary<'_>,
     ) -> Vec<f64> {

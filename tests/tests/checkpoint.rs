@@ -243,8 +243,9 @@ fn cli_campaign_resume_after_simulated_crash_matches_full_run() {
 
 /// End-to-end across extraction paths: a streamed campaign killed
 /// mid-run and resumed must produce a ledger **byte-identical** to an
-/// uninterrupted buffered run of the same campaign — the extraction
-/// mode is a pure performance choice, invisible in every artefact.
+/// uninterrupted buffered run of the same campaign — an outcome-only
+/// campaign never extracts, so `--extraction` is invisible in every
+/// artefact.
 #[test]
 fn cli_streamed_resume_ledger_matches_uninterrupted_buffered_byte_for_byte() {
     let buffered_ledger = tmp("cli-xtr-buffered.jsonl");

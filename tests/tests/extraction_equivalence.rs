@@ -2,13 +2,13 @@
 //!
 //! Buffered (full-trace record + after-the-fact comparison) and streamed
 //! (one-sided comparison against the shared compact golden trace) are
-//! two implementations of the paper's §2.2 extractor; campaigns may
-//! pick either, so they must be **bit-identical**: same
+//! two implementations of the paper's §2.2 extractor; Algorithm 1's
+//! masked-run folds may use either, so they must be **bit-identical**: same
 //! `Propagation` folds, same `Outcome` classifications, same
 //! `injected_err`/`output_err`, across every kernel, fault site, bit,
 //! and control-flow shape.
 
-use ftb_inject::{Classifier, ExtractionMode, Injector};
+use ftb_inject::{Classifier, Experiment, ExtractionMode, Injector};
 use ftb_integration::tiny_suite;
 use ftb_kernels::{CgConfig, Kernel, KernelConfig};
 use ftb_trace::{
@@ -16,6 +16,7 @@ use ftb_trace::{
     RecordMode, Tracer,
 };
 use proptest::prelude::*;
+use rayon::prelude::*;
 
 /// Everything one extraction produces, in comparable form.
 #[derive(Debug, Clone, PartialEq)]
@@ -159,62 +160,84 @@ fn buffered_and_streamed_agree_when_fault_site_is_never_reached() {
     assert_eq!(buffered_run.output, streamed_run.output);
 }
 
+/// The experiment half of propagation extractions through `mode` over
+/// `plan`, in plan order (parallel over the current rayon pool).
+fn extracted(
+    kernel: &dyn Kernel,
+    tol: f64,
+    mode: ExtractionMode,
+    plan: &[FaultSpec],
+) -> Vec<Experiment> {
+    let inj = Injector::new(kernel, Classifier::new(tol)).with_extraction(mode);
+    plan.par_iter()
+        .map(|f| inj.extract_propagation(f.site, f.bit, |_, _| {}).experiment)
+        .collect()
+}
+
+/// Every site, every seventh bit plus the sign and top exponent bits.
+fn probe_plan(kernel: &dyn Kernel, tol: f64) -> Vec<FaultSpec> {
+    let probe = Injector::new(kernel, Classifier::new(tol));
+    let bits = probe.bits();
+    let mut probe_bits: Vec<u8> = (0..bits).step_by(7).collect();
+    probe_bits.extend([bits - 2, bits - 1]);
+    probe_bits.dedup();
+    (0..probe.n_sites())
+        .flat_map(|site| probe_bits.iter().map(move |&bit| FaultSpec { site, bit }))
+        .collect()
+}
+
+fn in_pool<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .unwrap()
+        .install(f)
+}
+
 /// The full conformance matrix: every instrumented kernel in the tiny
 /// suite × every extraction path × {1, 4, 8}-thread rayon pools yields
-/// bit-identical experiment results. The reference cell is buffered
-/// extraction under a serial pool; all five other cells must reproduce
-/// it exactly — this is the acceptance matrix for wiring the
-/// previously-dormant kernels (lu, fft, spmv, stencil, matvec) into the
-/// campaign stack. The bit axis is strided (every seventh bit plus the
-/// sign and top exponent bits) so the 6-cell matrix stays affordable in
-/// a debug run; full-bit-axis agreement is covered per path by
+/// experiment records bit-identical to the outcome-only path's
+/// ([`Injector::run_many`]) under a serial pool, and so does the
+/// outcome-only path itself under 4- and 8-thread pools. The bit axis
+/// is strided (every seventh bit plus the sign and top exponent bits)
+/// so the matrix stays affordable in a debug run; full-bit-axis
+/// agreement is covered by
 /// `exhaustive_outcome_tables_identical_across_paths` and the proptest.
 #[test]
 fn conformance_matrix_all_kernels_modes_and_pools() {
-    let modes = [ExtractionMode::Buffered, ExtractionMode::Streamed];
+    let key = |v: Vec<Experiment>| -> Vec<(u8, u64, u64)> {
+        v.iter()
+            .map(|e| {
+                (
+                    e.outcome.code(),
+                    e.injected_err.to_bits(),
+                    e.output_err.to_bits(),
+                )
+            })
+            .collect()
+    };
     for (config, tol) in &tiny_suite() {
         let kernel = config.build();
-        let probe = Injector::new(kernel.as_ref(), Classifier::new(*tol));
-        let bits = probe.bits();
-        let mut probe_bits: Vec<u8> = (0..bits).step_by(7).collect();
-        probe_bits.extend([bits - 2, bits - 1]);
-        probe_bits.dedup();
-        let plan: Vec<FaultSpec> = (0..probe.n_sites())
-            .flat_map(|site| probe_bits.iter().map(move |&bit| FaultSpec { site, bit }))
-            .collect();
+        let plan = probe_plan(kernel.as_ref(), *tol);
         assert!(!plan.is_empty(), "{config:?}: empty campaign");
-
-        let cell = |mode: ExtractionMode, threads: usize| -> Vec<(u8, u64, u64)> {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            pool.install(|| {
-                Injector::new(kernel.as_ref(), Classifier::new(*tol))
-                    .with_extraction(mode)
-                    .run_batch(&plan)
-                    .iter()
-                    .map(|e| {
-                        (
-                            e.outcome.code(),
-                            e.injected_err.to_bits(),
-                            e.output_err.to_bits(),
-                        )
-                    })
-                    .collect()
-            })
-        };
-        let reference = cell(ExtractionMode::Buffered, 1);
-        for mode in modes {
+        let inj = Injector::new(kernel.as_ref(), Classifier::new(*tol));
+        let reference = key(in_pool(1, || inj.run_many(&plan)));
+        for threads in [4usize, 8] {
+            let got = key(in_pool(threads, || inj.run_many(&plan)));
+            assert_eq!(
+                reference, got,
+                "{config:?}: outcome-only path under a {threads}-thread pool diverged"
+            );
+        }
+        for mode in [ExtractionMode::Buffered, ExtractionMode::Streamed] {
             for threads in [1usize, 4, 8] {
-                if mode == ExtractionMode::Buffered && threads == 1 {
-                    continue;
-                }
-                let got = cell(mode, threads);
+                let got = key(in_pool(threads, || {
+                    extracted(kernel.as_ref(), *tol, mode, &plan)
+                }));
                 assert_eq!(
                     reference, got,
-                    "{config:?}: {mode:?} under a {threads}-thread pool \
-                     diverged from serial buffered extraction"
+                    "{config:?}: {mode:?} extraction under a {threads}-thread pool \
+                     diverged from the serial outcome-only path"
                 );
             }
         }
@@ -222,70 +245,41 @@ fn conformance_matrix_all_kernels_modes_and_pools() {
 }
 
 /// The batched-execution axis of the conformance matrix: the same
-/// kernels, plans, modes and pools as
-/// `conformance_matrix_all_kernels_modes_and_pools`, but with snapshots
-/// captured and an 8-lane batch width configured. Streamed cells on
-/// batch-capable kernels (jacobi, gemm, lu) run the lane-batched SoA
-/// engine; every other cell silently falls back to scalar
-/// snapshot-resumed execution. All 6 cells per kernel must reproduce
-/// serial scalar buffered extraction bitwise — experiments *and* their
+/// kernels and plans as `conformance_matrix_all_kernels_modes_and_pools`,
+/// run through the outcome-only path with snapshots captured and an
+/// 8-lane batch width configured, under 1-, 4- and 8-thread pools.
+/// Batch-capable kernels (jacobi, gemm, lu) run the lane-batched SoA
+/// engine; every other kernel silently falls back to scalar
+/// snapshot-resumed execution. Every cell must reproduce serial
+/// from-scratch buffered extraction bitwise — experiments *and* their
 /// serialized ledger-record bytes.
 #[test]
 fn conformance_matrix_batched_axis() {
-    let modes = [ExtractionMode::Buffered, ExtractionMode::Streamed];
     let mut batched_somewhere = 0;
     for (config, tol) in &tiny_suite() {
         let kernel = config.build();
-        let probe = Injector::new(kernel.as_ref(), Classifier::new(*tol));
-        let bits = probe.bits();
-        let mut probe_bits: Vec<u8> = (0..bits).step_by(7).collect();
-        probe_bits.extend([bits - 2, bits - 1]);
-        probe_bits.dedup();
-        let plan: Vec<FaultSpec> = (0..probe.n_sites())
-            .flat_map(|site| probe_bits.iter().map(move |&bit| FaultSpec { site, bit }))
-            .collect();
-
-        let run = |mode: ExtractionMode, threads: usize, lanes: usize| -> Vec<String> {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            pool.install(|| {
-                Injector::new(kernel.as_ref(), Classifier::new(*tol))
-                    .with_extraction(mode)
-                    .with_snapshots(usize::MAX)
-                    .with_batch_lanes(lanes)
-                    .run_batch(&plan)
-                    .iter()
-                    .map(|e| serde_json::to_string(e).unwrap())
-                    .collect()
-            })
+        let plan = probe_plan(kernel.as_ref(), *tol);
+        let records = |v: Vec<Experiment>| -> Vec<String> {
+            v.iter()
+                .map(|e| serde_json::to_string(e).unwrap())
+                .collect()
         };
-        // the reference stays what the scalar matrix test uses: serial
-        // buffered extraction, no snapshots, no batching
-        let reference: Vec<String> = Injector::new(kernel.as_ref(), Classifier::new(*tol))
-            .with_extraction(ExtractionMode::Buffered)
-            .run_batch(&plan)
-            .iter()
-            .map(|e| serde_json::to_string(e).unwrap())
-            .collect();
-        if Injector::new(kernel.as_ref(), Classifier::new(*tol))
+        let reference = records(in_pool(1, || {
+            extracted(kernel.as_ref(), *tol, ExtractionMode::Buffered, &plan)
+        }));
+        let inj = Injector::new(kernel.as_ref(), Classifier::new(*tol))
             .with_snapshots(usize::MAX)
-            .with_batch_lanes(8)
-            .batch_binding()
-            .is_some()
-        {
+            .with_batch_lanes(8);
+        if inj.batch_binding().is_some() {
             batched_somewhere += 1;
         }
-        for mode in modes {
-            for threads in [1usize, 4, 8] {
-                let got = run(mode, threads, 8);
-                assert_eq!(
-                    reference, got,
-                    "{config:?}: batched {mode:?} under a {threads}-thread pool \
-                     diverged from serial scalar buffered extraction"
-                );
-            }
+        for threads in [1usize, 4, 8] {
+            let got = records(in_pool(threads, || inj.run_many(&plan)));
+            assert_eq!(
+                reference, got,
+                "{config:?}: batched outcome-only path under a {threads}-thread pool \
+                 diverged from serial scalar buffered extraction"
+            );
         }
     }
     assert!(
@@ -294,19 +288,24 @@ fn conformance_matrix_batched_axis() {
     );
 }
 
-/// Exhaustive two-way agreement on one small kernel: the whole
-/// `sites × bits` outcome table is identical across paths (this is the
-/// same assertion the CI benchmark smoke job makes on the bench suite).
+/// Exhaustive agreement on one small kernel: the whole `sites × bits`
+/// outcome table built from either extraction path is identical to the
+/// outcome-only [`Injector::exhaustive`] table (this is the same
+/// assertion the CI benchmark smoke job makes on the bench suite).
 #[test]
 fn exhaustive_outcome_tables_identical_across_paths() {
     let (config, tol) = &tiny_suite()[4]; // matvec
     let kernel = config.build();
-    let table = |mode: ExtractionMode| {
-        Injector::new(kernel.as_ref(), Classifier::new(*tol))
-            .with_extraction(mode)
-            .run_exhaustive()
-    };
-    let buffered = table(ExtractionMode::Buffered);
-    let streamed = table(ExtractionMode::Streamed);
-    assert_eq!(buffered, streamed);
+    let inj = Injector::new(kernel.as_ref(), Classifier::new(*tol));
+    let table = inj.exhaustive();
+    let plan: Vec<FaultSpec> = (0..inj.n_sites())
+        .flat_map(|site| (0..inj.bits()).map(move |bit| FaultSpec { site, bit }))
+        .collect();
+    for mode in [ExtractionMode::Buffered, ExtractionMode::Streamed] {
+        let codes: Vec<u8> = extracted(kernel.as_ref(), *tol, mode, &plan)
+            .iter()
+            .map(|e| e.outcome.code())
+            .collect();
+        assert_eq!(table.codes, codes, "{mode:?}");
+    }
 }

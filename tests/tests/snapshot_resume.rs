@@ -1,8 +1,8 @@
 //! Snapshot-resume differential tests: experiments served from
 //! golden-run boundary snapshots must be **bit-identical** to
-//! from-scratch execution — across every extraction mode, across worker
-//! thread counts, and across a kill/resume of a snapshot-backed ledger
-//! campaign mid-section. The snapshot store is a pure performance
+//! from-scratch execution — to the from-scratch propagation extraction
+//! of every extraction mode, across worker thread counts, and across a
+//! kill/resume of a snapshot-backed ledger campaign mid-section. The snapshot store is a pure performance
 //! artefact; nothing downstream may be able to tell it was there.
 
 use ftb_core::prelude::*;
@@ -10,7 +10,7 @@ use ftb_inject::{
     monte_carlo_plan, read_ledger, schedule_snapshot_major, CampaignBinding, ChunkedCampaign,
     Experiment, LedgerError,
 };
-use ftb_kernels::{JacobiConfig, JacobiKernel, KernelConfig, LuConfig, LuKernel};
+use ftb_kernels::{JacobiConfig, JacobiKernel, Kernel, KernelConfig, LuConfig, LuKernel};
 use ftb_trace::FaultSpec;
 use std::path::PathBuf;
 
@@ -43,6 +43,21 @@ fn spread_faults(n_sites: usize, count: usize) -> Vec<FaultSpec> {
         .collect()
 }
 
+/// The from-scratch reference records: the experiment half of a
+/// propagation extraction through `mode`, one fault at a time.
+fn extracted(
+    kernel: &dyn Kernel,
+    classifier: Classifier,
+    mode: ExtractionMode,
+    faults: &[FaultSpec],
+) -> Vec<Experiment> {
+    let inj = Injector::new(kernel, classifier).with_extraction(mode);
+    faults
+        .iter()
+        .map(|f| inj.extract_propagation(f.site, f.bit, |_, _| {}).experiment)
+        .collect()
+}
+
 fn binding(inj: &Injector<'_>, plan: &str) -> CampaignBinding {
     CampaignBinding {
         kernel: KernelConfig::Jacobi(cfg()),
@@ -56,9 +71,9 @@ fn binding(inj: &Injector<'_>, plan: &str) -> CampaignBinding {
     }
 }
 
-/// Snapshot-started experiments are bit-identical to from-scratch ones
-/// in every extraction mode and under 1, 4, and 8 worker threads — both
-/// as in-memory values and through the serialized (ledger) byte form.
+/// Snapshot-started experiments are bit-identical to the from-scratch
+/// extraction of every mode, under 1, 4, and 8 worker threads — both as
+/// in-memory values and through the serialized (ledger) byte form.
 #[test]
 fn snapshot_resume_is_bit_identical_across_modes_and_threads() {
     let k = kernel();
@@ -67,9 +82,7 @@ fn snapshot_resume_is_bit_identical_across_modes_and_threads() {
     let faults = spread_faults(n, 36);
 
     for mode in [ExtractionMode::Buffered, ExtractionMode::Streamed] {
-        let reference = Injector::new(&k, classifier)
-            .with_extraction(mode)
-            .run_batch(&faults);
+        let reference = extracted(&k, classifier, mode, &faults);
         let ref_bytes = serde_json::to_string(&reference).unwrap();
         for threads in [1usize, 4, 8] {
             let pool = rayon::ThreadPoolBuilder::new()
@@ -80,7 +93,7 @@ fn snapshot_resume_is_bit_identical_across_modes_and_threads() {
                 .with_extraction(mode)
                 .with_snapshots(usize::MAX);
             assert!(inj.snapshot_store().is_some());
-            let got: Vec<Experiment> = pool.install(|| inj.run_batch(&faults));
+            let got: Vec<Experiment> = pool.install(|| inj.run_many(&faults));
             assert_eq!(reference, got, "{mode:?} with {threads} threads diverged");
             assert_eq!(
                 ref_bytes,
@@ -176,7 +189,7 @@ fn snapshot_campaign_resume_rejects_different_store() {
 
 /// Blocked LU captures per-k-step section-boundary snapshots, and
 /// snapshot-resumed (plus certificate-gated) LU experiments are
-/// bit-identical to from-scratch execution in every extraction mode.
+/// bit-identical to the from-scratch extraction of every mode.
 #[test]
 fn lu_snapshot_resume_is_bit_identical() {
     let k = LuKernel::new(LuConfig {
@@ -189,9 +202,7 @@ fn lu_snapshot_resume_is_bit_identical() {
     let faults = spread_faults(n, 36);
 
     for mode in [ExtractionMode::Buffered, ExtractionMode::Streamed] {
-        let reference = Injector::new(&k, classifier)
-            .with_extraction(mode)
-            .run_batch(&faults);
+        let reference = extracted(&k, classifier, mode, &faults);
         let inj = Injector::new(&k, classifier)
             .with_extraction(mode)
             .with_snapshots(usize::MAX);
@@ -203,12 +214,12 @@ fn lu_snapshot_resume_is_bit_identical() {
             "LU should snapshot at each k-step boundary, got {}",
             store.len()
         );
-        assert_eq!(reference, inj.run_batch(&faults), "{mode:?} diverged");
+        assert_eq!(reference, inj.run_many(&faults), "{mode:?} diverged");
         let certified = Injector::new(&k, classifier)
             .with_extraction(mode)
             .with_snapshots(usize::MAX)
             .with_certified_exits()
-            .run_batch(&faults);
+            .run_many(&faults);
         let codes = |v: &[Experiment]| -> Vec<u8> { v.iter().map(|e| e.outcome.code()).collect() };
         assert_eq!(
             codes(&reference),
@@ -242,7 +253,7 @@ fn batched_campaign_kill_resume_matches_uninterrupted_and_scalar() {
     // scalar cross-check: batching must be invisible in the records
     let scalar = Injector::new(&k, Classifier::new(1e-6))
         .with_snapshots(usize::MAX)
-        .run_batch(&plan);
+        .run_many(&plan);
     assert_eq!(reference, scalar, "batched campaign diverged from scalar");
 
     // the kill: chunk size 20 is deliberately not a multiple of the lane
